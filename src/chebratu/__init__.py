@@ -21,8 +21,11 @@ from .numerics import EigenResult, eig_general, lu_solve
 from .newton import (
     NewtonConfig,
     NewtonTrace,
+    Nonlinearity,
     convergence_order_estimate,
+    make_nonlinearity,
     newton_kantorovich,
+    solve_semilinear,
 )
 from .bratu1d import (
     BifurcationCurve,
@@ -38,13 +41,11 @@ from .bratu1d import (
 )
 from .pde2d import (
     Field2D,
-    Nonlinearity,
     Operator2D,
     assemble_laplacian,
     guess_eigenfunction,
     guess_onepoint,
     laplacian_eigs,
-    make_nonlinearity,
     onepoint_lambda,
     solve_2d,
 )
@@ -66,12 +67,12 @@ __all__ = [
     "barycentric_resample_2d",
     "EigenResult", "lu_solve", "eig_general",
     "NewtonConfig", "NewtonTrace", "newton_kantorovich", "convergence_order_estimate",
+    "Nonlinearity", "make_nonlinearity", "solve_semilinear",
     "BifurcationCurve", "Solution1D", "lambda_of_amplitude", "lambda_slope",
     "exact_solution", "critical_point", "branch_amplitudes", "bifurcation_curve",
     "solve_1d", "stability_1d",
-    "Operator2D", "Field2D", "Nonlinearity", "assemble_laplacian", "laplacian_eigs",
+    "Operator2D", "Field2D", "assemble_laplacian", "laplacian_eigs",
     "guess_eigenfunction", "guess_onepoint", "solve_2d", "onepoint_lambda",
-    "make_nonlinearity",
     "DecayReport", "SymmetryReport", "decay_report_1d", "decay_report_2d",
     "symmetry_report",
     "errors",

@@ -21,14 +21,14 @@ discrete problem, and the linearized-stability verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .chebyshev import Grid1D, barycentric_resample, second_diff_matrix
 from .errors import InvalidArgumentError, NoSolutionError
-from .newton import NewtonConfig, NewtonTrace, newton_kantorovich
+from .newton import NewtonConfig, NewtonTrace, make_nonlinearity, solve_semilinear
 from .numerics import EigenResult, eig_general
 
 __all__ = [
@@ -112,15 +112,6 @@ def lambda_slope(amplitude: float, half_width: float = 1.0) -> float:
     return 2.0 * math.exp(-A) / L**2 * g * (2.0 * gp - g)
 
 
-def _lambda_curvature(A: float, L: float) -> float:
-    """Analytic second derivative of the curve (for the fold polish)."""
-    g = math.acosh(math.exp(A / 2.0))
-    e = math.expm1(A)  # exp(A) - 1
-    gp = math.exp(A / 2.0) / (2.0 * math.sqrt(e))
-    gpp = -math.exp(A / 2.0) / (4.0 * e**1.5)
-    return 2.0 * math.exp(-A) / L**2 * (2.0 * gp**2 + 2.0 * g * gpp - 4.0 * g * gp + g**2)
-
-
 def exact_solution(amplitude: float, half_width: float, x) -> np.ndarray:
     """Closed-form solution with center value ``A``, sampled at ``x``.
 
@@ -136,37 +127,34 @@ def exact_solution(amplitude: float, half_width: float, x) -> np.ndarray:
     return A - 2.0 * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0))
 
 
+def _fold_amplitude() -> float:
+    """``A* = 2 ln cosh B`` with ``B tanh B = 1``, by scalar Newton from 1.2.
+
+    With ``B = sqrt(lam exp(A) / 2)`` the boundary condition reads
+    ``A = 2 ln cosh B`` and ``lam L**2 = 2 B**2 / cosh(B)**2``; both rise
+    with ``A`` up to the fold, where the latter peaks at ``B tanh B = 1``.
+    """
+    b = 1.2
+    for _ in range(50):
+        t = math.tanh(b)
+        step = (b * t - 1.0) / (t + b / math.cosh(b) ** 2)
+        b -= step
+        if abs(step) <= 1e-16 * b:
+            break
+    return 2.0 * math.log(math.cosh(b))
+
+
+_FOLD_AMPLITUDE = _fold_amplitude()
+
+
 def critical_point(half_width: float = 1.0) -> tuple[float, float]:
     """Fold ``(A*, lam*)`` of the closed-form curve.
 
-    Golden-section search on a bracketing interval, polished by Newton on
-    ``d lam / dA = 0`` with analytic derivatives; the slope at the result
-    is below 1e-12.  ``A*`` does not depend on the half-width; ``lam*``
-    scales as ``1 / L**2``.
+    ``A*`` does not depend on the half-width and is computed once, at
+    import; ``lam* = lam(A*, L)`` scales as ``1 / L**2``.
     """
     L = _check_half_width(half_width)
-    lo, hi = 0.5, 2.5
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = lambda_of_amplitude(c, L)
-    fd = lambda_of_amplitude(d, L)
-    while hi - lo > 1e-10:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = lambda_of_amplitude(c, L)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = lambda_of_amplitude(d, L)
-    A = 0.5 * (lo + hi)
-    for _ in range(60):
-        slope = lambda_slope(A, L)
-        if abs(slope) <= 0.5e-12:
-            break
-        A -= slope / _lambda_curvature(A, L)
-    return A, lambda_of_amplitude(A, L)
+    return _FOLD_AMPLITUDE, lambda_of_amplitude(_FOLD_AMPLITUDE, L)
 
 
 def branch_amplitudes(lam: float, half_width: float = 1.0) -> tuple[float, float]:
@@ -255,48 +243,40 @@ def _initial_vector(grid: Grid1D, guess, amplitude: float) -> np.ndarray:
     )
 
 
+_EXP = make_nonlinearity("exp")
+
+
 def solve_1d(lam: float, grid: Grid1D, guess="zero", amplitude: float = 6.0,
              config: NewtonConfig | None = None) -> Solution1D:
     """Newton-Kantorovich solution of the collocation system.
 
-    The interior system is ``D2 u + lam exp(u) = 0`` with Jacobian
-    ``D2 + lam diag(exp(u))``; ``guess`` is ``"zero"``, ``"onepoint"``
-    (``amplitude * (1 - (x/L)**2)``, the lowest Galerkin basis function)
-    or a custom vector.  The result is labeled small/big by comparing the
+    The interior system ``D2 u + lam exp(u) = 0`` goes to
+    :func:`~chebratu.newton.solve_semilinear`; ``guess`` is ``"zero"``,
+    ``"onepoint"`` (``amplitude * (1 - (x/L)**2)``, the lowest Galerkin
+    basis function) or a custom vector.  The result is labeled small/big by comparing the
     interpolated center value against the closed-form branch amplitudes
     when ``0 < lam < lam*``, and "unknown" otherwise.
 
     For ``lam`` above the fold the iteration has nothing to converge to
-    and a Newton error (non-convergence or divergence) propagates.
+    and the Newton error propagates with its trace.
     """
     if grid.n < 4:
         raise InvalidArgumentError("1D solves need grid order >= 4")
     if not np.isfinite(lam):
         raise InvalidArgumentError("lam must be finite")
     d2 = second_diff_matrix(grid).interior
-
-    def residual(u):
-        with np.errstate(over="ignore"):
-            return d2 @ u + lam * np.exp(u)
-
-    def jacobian(u):
-        with np.errstate(over="ignore"):
-            return d2 + lam * np.diag(np.exp(u))
-
     u0 = _initial_vector(grid, guess, amplitude)
-    solution, trace = newton_kantorovich(residual, jacobian, u0, config)
+    solution, trace = solve_semilinear(d2, lam, _EXP, u0, config)
 
     values = np.zeros(grid.n + 1)
     values[1:-1] = solution
     sol = Solution1D(grid=grid, values=values, lam=float(lam), branch="unknown",
                      trace=trace)
-    a_star, lam_star = critical_point(grid.half_width)
-    if 0.0 < lam < lam_star:
+    if 0.0 < lam < critical_point(grid.half_width)[1]:
         a_small, a_big = branch_amplitudes(lam, grid.half_width)
         center = sol.center_value()
-        branch = "small" if abs(center - a_small) <= abs(center - a_big) else "big"
-        sol = Solution1D(grid=grid, values=values, lam=float(lam), branch=branch,
-                         trace=trace)
+        sol = replace(sol, branch="small" if abs(center - a_small) <= abs(center - a_big)
+                      else "big")
     return sol
 
 

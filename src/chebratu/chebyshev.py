@@ -199,29 +199,13 @@ def second_diff_matrix(grid: Grid1D) -> DiffMatrix:
 #
 # with d_k = 1/2 for k in {0, n} and 1 otherwise; the bracket is the
 # type-I discrete cosine transform (the real even-symmetric FFT of size
-# 2n).  A direct O(n^2) summation is kept alongside the fast path and the
-# two are tested to agree to 1e-13.
+# 2n).  The tests check it against a direct O(n^2) summation to 1e-13.
 # ---------------------------------------------------------------------------
 
 
-def _dct1_fast(values: np.ndarray, axis: int) -> np.ndarray:
-    return _fft.dct(values, type=1, axis=axis)
-
-
-def _dct1_direct(values: np.ndarray, axis: int) -> np.ndarray:
+def _forward_1d(values: np.ndarray, axis: int) -> np.ndarray:
     n = values.shape[axis] - 1
-    j = np.arange(n + 1)
-    C = np.cos(np.pi * np.outer(j, j) / n)
-    W = 2.0 * C
-    W[:, 0] = 1.0
-    W[:, n] = (-1.0) ** j
-    return np.moveaxis(W @ np.moveaxis(values, axis, 0), 0, axis)
-
-
-def _forward_1d(values: np.ndarray, axis: int, method: str) -> np.ndarray:
-    n = values.shape[axis] - 1
-    kern = _dct1_direct if method == "direct" else _dct1_fast
-    a = kern(values, axis) / n
+    a = _fft.dct(values, type=1, axis=axis) / n
     sl = [slice(None)] * values.ndim
     for end in (0, n):
         sl[axis] = end
@@ -229,22 +213,15 @@ def _forward_1d(values: np.ndarray, axis: int, method: str) -> np.ndarray:
     return a
 
 
-def _inverse_1d(coeffs: np.ndarray, axis: int, method: str) -> np.ndarray:
+def _inverse_1d(coeffs: np.ndarray, axis: int) -> np.ndarray:
     w = np.array(coeffs, dtype=float, copy=True)
     sl = [slice(None)] * w.ndim
     sl[axis] = slice(1, -1)
     w[tuple(sl)] /= 2.0
-    kern = _dct1_direct if method == "direct" else _dct1_fast
-    return kern(w, axis)
+    return _fft.dct(w, type=1, axis=axis)
 
 
-def _check_method(method: str) -> str:
-    if method not in ("auto", "fast", "direct"):
-        raise InvalidArgumentError(f"unknown transform method {method!r}")
-    return "fast" if method == "auto" else method
-
-
-def cheb_transform(grid: Grid1D, values, method: str = "auto") -> ChebCoeffs:
+def cheb_transform(grid: Grid1D, values) -> ChebCoeffs:
     """Coefficients of the interpolant of ``values`` on ``grid``.
 
     Parameters
@@ -252,37 +229,32 @@ def cheb_transform(grid: Grid1D, values, method: str = "auto") -> ChebCoeffs:
     grid : Grid1D
     values : array_like, shape (n + 1,)
         Samples at the grid points (descending order).
-    method : {"auto", "fast", "direct"}
-        "fast" uses the type-I DCT; "direct" the O(n^2) cosine summation;
-        "auto" picks the fast path.
 
     Returns
     -------
     ChebCoeffs
         Coefficients ``a_k`` of ``sum_k a_k T_k(x / L)``, index 0..n.
     """
-    method = _check_method(method)
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.n + 1,):
         raise InvalidArgumentError(
             f"expected {grid.n + 1} values for grid order {grid.n}, got shape {v.shape}"
         )
-    return ChebCoeffs(coeffs=_readonly(_forward_1d(v, 0, method)))
+    return ChebCoeffs(coeffs=_readonly(_forward_1d(v, 0)))
 
 
-def inverse_cheb_transform(grid: Grid1D, coeffs: ChebCoeffs, method: str = "auto") -> np.ndarray:
+def inverse_cheb_transform(grid: Grid1D, coeffs: ChebCoeffs) -> np.ndarray:
     """Grid values of the series with the given coefficients (adjoint of
     :func:`cheb_transform`; the round trip is the identity to rounding)."""
-    method = _check_method(method)
     a = np.asarray(coeffs.coeffs, dtype=float)
     if a.shape != (grid.n + 1,):
         raise InvalidArgumentError(
             f"expected {grid.n + 1} coefficients for grid order {grid.n}, got shape {a.shape}"
         )
-    return _inverse_1d(a, 0, method)
+    return _inverse_1d(a, 0)
 
 
-def cheb_transform_2d(grid: Grid1D, values, method: str = "auto") -> ChebCoeffs:
+def cheb_transform_2d(grid: Grid1D, values) -> ChebCoeffs:
     """Tensor-product transform of a square array of grid samples.
 
     ``values[i, j]`` holds the sample at ``(x_i, x_j)`` on the tensor
@@ -290,27 +262,25 @@ def cheb_transform_2d(grid: Grid1D, values, method: str = "auto") -> ChebCoeffs:
     ``T_k(. / L) T_l(. / L)`` with ``k`` attached to axis 0 and ``l`` to
     axis 1.
     """
-    method = _check_method(method)
     v = np.asarray(values, dtype=float)
     m = grid.n + 1
     if v.shape != (m, m):
         raise InvalidArgumentError(
             f"expected a square ({m}, {m}) array of samples, got shape {v.shape}"
         )
-    a = _forward_1d(_forward_1d(v, 0, method), 1, method)
+    a = _forward_1d(_forward_1d(v, 0), 1)
     return ChebCoeffs(coeffs=_readonly(a))
 
 
-def inverse_cheb_transform_2d(grid: Grid1D, coeffs: ChebCoeffs, method: str = "auto") -> np.ndarray:
+def inverse_cheb_transform_2d(grid: Grid1D, coeffs: ChebCoeffs) -> np.ndarray:
     """Inverse of :func:`cheb_transform_2d`."""
-    method = _check_method(method)
     a = np.asarray(coeffs.coeffs, dtype=float)
     m = grid.n + 1
     if a.shape != (m, m):
         raise InvalidArgumentError(
             f"expected a square ({m}, {m}) coefficient array, got shape {a.shape}"
         )
-    return _inverse_1d(_inverse_1d(a, 0, method), 1, method)
+    return _inverse_1d(_inverse_1d(a, 0), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ machine-readable (json / csv / dat); ``.dat`` files are two/three-column
 whitespace tables ready for external plotting tools.  Runs are
 deterministic: the same argv produces byte-identical output.
 
-Exit codes: 0 success, 2 invalid arguments, 3 solver non-convergence
-(the Newton trace is still written), 4 internal numerical failure.
+Exit codes: 0 success, 2 invalid arguments, 3 Newton failure of any
+kind (non-convergence, divergence or a singular Jacobian; the payload
+still carries the Newton trace), 4 any other numerical failure (such as
+an eigensolver that does not converge or a gelfand pole).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,26 +31,15 @@ from .errors import (
     InvalidArgumentError,
     NewtonError,
     NoSolutionError,
-    SingularJacobianError,
 )
-from .newton import NewtonConfig, convergence_order_estimate
+from .newton import NewtonConfig, convergence_order_estimate, make_nonlinearity
 from .pde2d import Field2D
 
-__all__ = ["RunConfig", "main", "run"]
-
-
-@dataclass
-class RunConfig:
-    """A parsed, validated invocation."""
-
-    command: str
-    format: str
-    output_path: str | None
-    options: dict = field(default_factory=dict)
+__all__ = ["main", "run"]
 
 
 def _add_common(p, *, lam=False, grid=False, guess_choices=None, newton=False,
-                nonlinearity=False, samples=None, jobs=False):
+                nonlinearity=False, samples=None):
     if lam:
         p.add_argument("--lambda", dest="lam", type=float, required=True,
                        help="bifurcation parameter")
@@ -75,9 +65,6 @@ def _add_common(p, *, lam=False, grid=False, guess_choices=None, newton=False,
                        help="Newton iteration cap (default 25)")
     if samples is not None:
         p.add_argument("--samples", type=int, default=samples)
-    if jobs:
-        p.add_argument("--jobs", type=int, default=1,
-                       help="reserved; sampling is vectorized")
     p.add_argument("--format", default="json", choices=["json", "csv", "dat"])
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
@@ -91,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bifurcation-1d", help="closed-form 1D curve and fold")
     p.add_argument("--L", dest="half_width", type=float, default=1.0)
-    _add_common(p, samples=400, jobs=True)
+    _add_common(p, samples=400)
 
     p = sub.add_parser("solve-1d", help="solve the 1D problem")
     _add_common(p, lam=True, grid=True, guess_choices=["zero", "onepoint"], newton=True)
@@ -110,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 newton=True, nonlinearity=True)
 
     p = sub.add_parser("bifurcation-2d-approx", help="one-point 2D diagram estimate")
-    _add_common(p, samples=400, jobs=True)
+    _add_common(p, samples=400)
 
     p = sub.add_parser("coeffs", help="coefficient-decay report of a solve")
     p.add_argument("dim", choices=["1d", "2d"])
@@ -183,18 +170,6 @@ def _guess_2d(args, grid) -> Field2D:
     raise InvalidArgumentError(f"unsupported 2D guess {args.guess!r}")
 
 
-def _params_doc(args, n, with_nl=False) -> dict:
-    doc = {
-        "lambda": args.lam,
-        "L": args.half_width,
-        "n": n,
-        "guess": args.guess,
-        "nonlinearity": getattr(args, "nonlinearity", "exp") if with_nl else "exp",
-        "epsilon": getattr(args, "epsilon", None),
-    }
-    return doc
-
-
 # --------------------------------------------------------------------------
 # command handlers: each returns (exit_code, doc, table)
 # table = (comment_lines, column_names, rows) or None for json-only payloads
@@ -204,8 +179,6 @@ def _params_doc(args, n, with_nl=False) -> dict:
 def _cmd_bifurcation_1d(args):
     if args.samples < 2:
         raise InvalidArgumentError("--samples must be at least 2")
-    if args.jobs < 1:
-        raise InvalidArgumentError("--jobs must be at least 1")
     curve = bratu1d.bifurcation_curve(args.half_width, args.samples)
     doc = {
         "params": {"L": args.half_width, "samples": args.samples},
@@ -222,8 +195,6 @@ def _cmd_bifurcation_1d(args):
 def _cmd_bifurcation_2d_approx(args):
     if args.samples < 2:
         raise InvalidArgumentError("--samples must be at least 2")
-    if args.jobs < 1:
-        raise InvalidArgumentError("--jobs must be at least 1")
     amps = 8.0 * np.arange(args.samples + 1) / args.samples
     lams = pde2d.onepoint_lambda(amps)
     peak_a = 1.0 / 0.64
@@ -236,17 +207,32 @@ def _cmd_bifurcation_2d_approx(args):
     return 0, doc, (comments, ["A", "lambda"], doc["samples"])
 
 
-def _solve_1d_payload(args):
-    n = args.n if args.n is not None else 32
+def _solve_payload(args, dim: int):
+    """Run the 1D or 2D solve an invocation asks for.
+
+    Returns ``(solution, grid, failure, params)``.  On any Newton failure
+    ``solution`` is None and ``failure`` is the exit-3 payload, which
+    carries the trace and the error message.
+    """
+    n = args.n if args.n is not None else (32 if dim == 1 else 16)
     grid = cheb_points(n, args.half_width)
-    guess = _guess_1d(args, grid)
-    amplitude = args.amplitude if args.amplitude is not None else 6.0
-    params = _params_doc(args, n)
+    if dim == 2:
+        nl = make_nonlinearity(args.nonlinearity, args.epsilon)
+    guess = _guess_1d(args, grid) if dim == 1 else _guess_2d(args, grid)
+    params = {
+        "lambda": args.lam,
+        "L": args.half_width,
+        "n": n,
+        "guess": args.guess,
+        "nonlinearity": args.nonlinearity if dim == 2 else "exp",
+        "epsilon": getattr(args, "epsilon", None),
+    }
     try:
-        sol = bratu1d.solve_1d(args.lam, grid, guess, amplitude, _newton_config(args))
+        if dim == 1:
+            sol = bratu1d.solve_1d(args.lam, grid, guess, _amplitude(args), _newton_config(args))
+        else:
+            sol = pde2d.solve_2d(args.lam, nl, grid, guess, _newton_config(args))
     except NewtonError as exc:
-        if isinstance(exc, SingularJacobianError):
-            raise
         doc = {
             "params": params,
             "solution": None,
@@ -258,7 +244,7 @@ def _solve_1d_payload(args):
 
 
 def _cmd_solve_1d(args):
-    sol, grid, failure, params = _solve_1d_payload(args)
+    sol, grid, failure, params = _solve_payload(args, 1)
     if failure is not None:
         return 3, failure, None
     decay = diagnostics.decay_report_1d(sol)
@@ -283,7 +269,7 @@ def _cmd_solve_1d(args):
 
 
 def _cmd_stability_1d(args):
-    sol, grid, failure, params = _solve_1d_payload(args)
+    sol, grid, failure, params = _solve_payload(args, 1)
     if failure is not None:
         return 3, failure, None
     stable, mu_min, spectrum = bratu1d.stability_1d(sol)
@@ -315,29 +301,8 @@ def _cmd_eig_2d(args):
     return 0, doc, ([], ["k", "eig_real", "eig_imag"], rows)
 
 
-def _solve_2d_payload(args):
-    n = args.n if args.n is not None else 16
-    grid = cheb_points(n, args.half_width)
-    nl = pde2d.make_nonlinearity(args.nonlinearity, args.epsilon)
-    guess = _guess_2d(args, grid)
-    params = _params_doc(args, n, with_nl=True)
-    try:
-        sol = pde2d.solve_2d(args.lam, nl, grid, guess, _newton_config(args))
-    except NewtonError as exc:
-        if isinstance(exc, SingularJacobianError):
-            raise
-        doc = {
-            "params": params,
-            "solution": None,
-            "newton": _trace_doc(exc.trace),
-            "error": str(exc),
-        }
-        return None, grid, doc, params
-    return sol, grid, None, params
-
-
 def _cmd_solve_2d(args):
-    sol, grid, failure, params = _solve_2d_payload(args)
+    sol, grid, failure, params = _solve_payload(args, 2)
     if failure is not None:
         return 3, failure, None
     decay = diagnostics.decay_report_2d(sol)
@@ -369,18 +334,15 @@ def _cmd_solve_2d(args):
 
 
 def _cmd_coeffs(args):
+    sol, grid, failure, params = _solve_payload(args, 1 if args.dim == "1d" else 2)
+    if failure is not None:
+        return 3, failure, None
     if args.dim == "1d":
-        sol, grid, failure, params = _solve_1d_payload(args)
-        if failure is not None:
-            return 3, failure, None
         rep = diagnostics.decay_report_1d(sol)
         coeff_doc = list(map(float, rep.coeffs))
         rows = [(k, float(v)) for k, v in enumerate(rep.coeffs)]
         columns = ["k", "abs_coeff"]
     else:
-        sol, grid, failure, params = _solve_2d_payload(args)
-        if failure is not None:
-            return 3, failure, None
         rep = diagnostics.decay_report_2d(sol)
         coeff_doc = [list(map(float, row)) for row in rep.coeffs]
         rows = [
@@ -404,7 +366,7 @@ def _cmd_coeffs(args):
 
 
 def _cmd_symmetry(args):
-    sol, grid, failure, params = _solve_2d_payload(args)
+    sol, grid, failure, params = _solve_payload(args, 2)
     if failure is not None:
         return 3, failure, None
     sym = diagnostics.symmetry_report(sol)
@@ -481,21 +443,13 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    cfg = RunConfig(command=args.command, format=args.format,
-                    output_path=args.output, options=vars(args))
     try:
-        code, doc, table = _HANDLERS[cfg.command](args)
-        _write(_render(doc, table, cfg.format), cfg.output_path)
+        code, doc, table = _HANDLERS[args.command](args)
+        _write(_render(doc, table, args.format), args.output)
         return code
     except (InvalidArgumentError, NoSolutionError) as exc:
         print(f"chebratu: invalid request: {exc}", file=sys.stderr)
         return 2
-    except NewtonError as exc:
-        # singular-Jacobian and any stray solver failure not already
-        # serialized by the handlers
-        kind = "numerical failure" if isinstance(exc, SingularJacobianError) else "no convergence"
-        print(f"chebratu: {kind}: {exc}", file=sys.stderr)
-        return 4 if isinstance(exc, SingularJacobianError) else 3
     except ChebratuError as exc:
         print(f"chebratu: numerical failure: {exc}", file=sys.stderr)
         return 4

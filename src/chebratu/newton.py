@@ -1,10 +1,14 @@
-"""Newton-Kantorovich driver over residual/Jacobian callbacks.
+"""Newton-Kantorovich driver and the semilinear collocation solve.
 
 Full undamped steps, ``J(u_k) d_k = -F(u_k)``, ``u_{k+1} = u_k + d_k``.
 Each completed iteration records the sup-norm of its update and of the
 residual at the new iterate; the iteration stops as soon as either drops
 below its tolerance.  Failures raise with the partial trace attached so
 callers can inspect how far the iteration got.
+
+The 1D and 2D problems share one discrete form, ``Lap u + lam f(u) = 0``
+on the interior unknowns: :func:`solve_semilinear` solves it for any
+interior operator and any reaction term of :func:`make_nonlinearity`.
 """
 
 from __future__ import annotations
@@ -20,14 +24,18 @@ from .errors import (
     NonConvergenceError,
     SingularJacobianError,
     SingularMatrixError,
+    SingularNonlinearityError,
 )
 from .numerics import lu_solve
 
 __all__ = [
     "NewtonConfig",
     "NewtonTrace",
+    "Nonlinearity",
     "newton_kantorovich",
     "convergence_order_estimate",
+    "make_nonlinearity",
+    "solve_semilinear",
 ]
 
 # update norms at or below this level are rounding noise, not contraction data
@@ -147,6 +155,88 @@ def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = Non
         f"(last update {update_norms[-1]:.3e}, residual {residual_norms[-1]:.3e})",
         trace(),
     )
+
+
+@dataclass(frozen=True)
+class Nonlinearity:
+    """Reaction term ``lam * f(u)`` and its ``u``-derivative.
+
+    ``value(lam, u)`` and ``derivative(lam, u)`` act elementwise on
+    arrays; ``params`` records named constants such as the Gelfand
+    perturbation ``epsilon``.
+    """
+
+    name: str
+    value: object
+    derivative: object
+    params: dict = field(default_factory=dict)
+
+
+def _scaled(f):
+    """``(lam, u) -> lam * f(u)``, overflowing to inf without a warning."""
+    def term(lam, u):
+        with np.errstate(over="ignore"):
+            return lam * f(u)
+    return term
+
+
+# name -> (f, f'); the gelfand pair depends on epsilon and is built per call
+_TERMS = {"exp": (np.exp, np.exp), "cosh": (np.cosh, np.sinh), "sinh": (np.sinh, np.cosh)}
+
+
+def _gelfand_terms(eps: float):
+    def pole_free(u):
+        d = 1.0 + eps * np.asarray(u)
+        if np.any(d <= 1e-8):
+            raise SingularNonlinearityError(
+                "gelfand nonlinearity evaluated at a pole (1 + eps*u <= 1e-8)"
+            )
+        return d
+
+    def derivative(lam, u):
+        d = pole_free(u)
+        with np.errstate(over="ignore"):
+            return lam * np.exp(u / d) / d**2
+
+    return _scaled(lambda u: np.exp(u / pole_free(u))), derivative
+
+
+def make_nonlinearity(name: str, epsilon: float | None = None) -> Nonlinearity:
+    """Construct one of the shipped reaction terms.
+
+    ``"exp"`` is the classical Bratu term ``exp(u)``; ``"gelfand"`` the
+    perturbed ``exp(u / (1 + eps u))`` for ``0 < eps < 1``; ``"cosh"``
+    and ``"sinh"`` the hyperbolic variants.
+    """
+    if name == "gelfand":
+        if epsilon is None or not (0.0 < epsilon < 1.0):
+            raise InvalidArgumentError(
+                f"gelfand perturbation requires 0 < epsilon < 1, got {epsilon!r}"
+            )
+        eps = float(epsilon)
+        return Nonlinearity(name, *_gelfand_terms(eps), {"epsilon": eps})
+    if name not in _TERMS:
+        raise InvalidArgumentError(f"unknown nonlinearity {name!r}")
+    f, df = _TERMS[name]
+    return Nonlinearity(name, _scaled(f), _scaled(df))
+
+
+def solve_semilinear(lap, lam: float, nonlinearity: Nonlinearity, u0,
+                     config: NewtonConfig | None = None):
+    """Newton-Kantorovich solution of ``lap u + lam f(u) = 0``.
+
+    ``lap`` is the dense interior operator (Dirichlet conditions already
+    imposed); the residual is ``lap u + value(lam, u)`` and the Jacobian
+    ``lap + diag(derivative(lam, u))``.  Returns and raises as
+    :func:`newton_kantorovich`.
+    """
+    def residual(u):
+        return lap @ u + nonlinearity.value(lam, u)
+
+    def jacobian(u):
+        return lap + np.diag(nonlinearity.derivative(lam, u))
+
+    return newton_kantorovich(residual, jacobian, u0, config)
 
 
 def convergence_order_estimate(trace: NewtonTrace) -> float:

@@ -19,26 +19,24 @@ sketches the bifurcation diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chebyshev import Grid1D, barycentric_resample_2d, second_diff_matrix
-from .errors import InvalidArgumentError, SingularNonlinearityError
-from .newton import NewtonConfig, NewtonTrace, newton_kantorovich
+from .errors import InvalidArgumentError
+from .newton import NewtonConfig, NewtonTrace, Nonlinearity, solve_semilinear
 from .numerics import EigenResult, eig_general
 
 __all__ = [
     "Operator2D",
     "Field2D",
-    "Nonlinearity",
     "assemble_laplacian",
     "laplacian_eigs",
     "guess_eigenfunction",
     "guess_onepoint",
     "solve_2d",
     "onepoint_lambda",
-    "make_nonlinearity",
 ]
 
 
@@ -100,82 +98,6 @@ class Field2D:
         return float(
             barycentric_resample_2d(self.grid, self.embed(), [0.0], [0.0])[0, 0]
         )
-
-
-@dataclass(frozen=True)
-class Nonlinearity:
-    """Reaction term ``lam * f(u)`` and its ``u``-derivative.
-
-    ``value(lam, u)`` and ``derivative(lam, u)`` act elementwise on
-    arrays; ``params`` records named constants such as the Gelfand
-    perturbation ``epsilon``.
-    """
-
-    name: str
-    value: object
-    derivative: object
-    params: dict = field(default_factory=dict)
-
-
-def make_nonlinearity(name: str, epsilon: float | None = None) -> Nonlinearity:
-    """Construct one of the shipped reaction terms.
-
-    ``"exp"`` is the classical Bratu term ``exp(u)``; ``"gelfand"`` the
-    perturbed ``exp(u / (1 + eps u))`` for ``0 < eps < 1``; ``"cosh"``
-    and ``"sinh"`` the hyperbolic variants.
-    """
-    if name == "exp":
-        def value(lam, u):
-            with np.errstate(over="ignore"):
-                return lam * np.exp(u)
-        return Nonlinearity("exp", value, value)
-    if name == "gelfand":
-        if epsilon is None or not (0.0 < epsilon < 1.0):
-            raise InvalidArgumentError(
-                f"gelfand perturbation requires 0 < epsilon < 1, got {epsilon!r}"
-            )
-        eps = float(epsilon)
-
-        def _denominator(u):
-            d = 1.0 + eps * np.asarray(u)
-            if np.any(d <= 1e-8):
-                raise SingularNonlinearityError(
-                    "gelfand nonlinearity evaluated at a pole (1 + eps*u <= 1e-8)"
-                )
-            return d
-
-        def g_value(lam, u):
-            d = _denominator(u)
-            with np.errstate(over="ignore"):
-                return lam * np.exp(u / d)
-
-        def g_derivative(lam, u):
-            d = _denominator(u)
-            with np.errstate(over="ignore"):
-                return lam * np.exp(u / d) / d**2
-
-        return Nonlinearity("gelfand", g_value, g_derivative, {"epsilon": eps})
-    if name == "cosh":
-        def c_value(lam, u):
-            with np.errstate(over="ignore"):
-                return lam * np.cosh(u)
-
-        def c_derivative(lam, u):
-            with np.errstate(over="ignore"):
-                return lam * np.sinh(u)
-
-        return Nonlinearity("cosh", c_value, c_derivative)
-    if name == "sinh":
-        def s_value(lam, u):
-            with np.errstate(over="ignore"):
-                return lam * np.sinh(u)
-
-        def s_derivative(lam, u):
-            with np.errstate(over="ignore"):
-                return lam * np.cosh(u)
-
-        return Nonlinearity("sinh", s_value, s_derivative)
-    raise InvalidArgumentError(f"unknown nonlinearity {name!r}")
 
 
 def assemble_laplacian(grid: Grid1D) -> Operator2D:
@@ -244,22 +166,14 @@ def solve_2d(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, guess: Field2
              config: NewtonConfig | None = None) -> Field2D:
     """Newton-Kantorovich solution of ``Lap(u) + lam f(u) = 0``.
 
-    Residual ``Lap u + value(lam, u)`` with Jacobian
-    ``Lap + diag(derivative(lam, u))``.  For ``lam`` beyond the fold of
-    the diagram the iteration fails and the Newton error propagates with
-    its trace.
+    :func:`~chebratu.newton.solve_semilinear` on the Kronecker-sum
+    Laplacian.  For ``lam`` beyond the fold of the diagram the iteration
+    fails and the Newton error propagates with its trace.
     """
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidArgumentError(f"lam must be nonnegative, got {lam!r}")
     if guess.grid.n != grid.n or guess.grid.half_width != grid.half_width:
         raise InvalidArgumentError("guess and solve grids differ")
     op = assemble_laplacian(grid)
-
-    def residual(u):
-        return op.matrix @ u + nonlinearity.value(lam, u)
-
-    def jacobian(u):
-        return op.matrix + np.diag(nonlinearity.derivative(lam, u))
-
-    solution, trace = newton_kantorovich(residual, jacobian, guess.as_vector(), config)
+    solution, trace = solve_semilinear(op.matrix, lam, nonlinearity, guess.as_vector(), config)
     return Field2D.from_vector(grid, solution, lam=float(lam), trace=trace)

@@ -110,3 +110,35 @@ def collocation_umax(lam: float, n: int, amplitude: float) -> float:
         if np.max(np.abs(step)) <= 1e-12 or residual <= 1e-10:
             return float(u.max())
     raise RuntimeError(f"collocation Newton did not converge at n = {n}")
+
+
+def dct1_direct(values, axis: int = 0) -> np.ndarray:
+    """Type-I DCT ``v_0 + (-1)^k v_n + 2 sum_{j=1}^{n-1} v_j cos(pi j k / n)``
+    along ``axis``, by direct O(n^2) cosine summation."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[axis] - 1
+    j = np.arange(n + 1)
+    w = 2.0 * np.cos(np.pi * np.outer(j, j) / n)
+    w[:, 0] = 1.0
+    w[:, n] = (-1.0) ** j
+    return np.moveaxis(w @ np.moveaxis(values, axis, 0), 0, axis)
+
+
+def cheb_coeffs_direct(values, axis: int = 0) -> np.ndarray:
+    """Coefficients ``a_k`` of the interpolant of samples at the Lobatto
+    nodes ``cos(pi j / n)``: ``(d_k / n)`` times :func:`dct1_direct`, with
+    ``d_k = 1/2`` for ``k`` in ``{0, n}`` and 1 otherwise."""
+    a = dct1_direct(values, axis)
+    n = a.shape[axis] - 1
+    a /= n
+    a[(slice(None),) * axis + (0,)] /= 2.0
+    a[(slice(None),) * axis + (n,)] /= 2.0
+    return a
+
+
+def cheb_values_direct(coeffs, axis: int = 0) -> np.ndarray:
+    """Values ``sum_k a_k cos(pi j k / n)`` of a Chebyshev series at the
+    Lobatto nodes, the inverse of :func:`cheb_coeffs_direct`."""
+    w = np.array(coeffs, dtype=float, copy=True)
+    w[(slice(None),) * axis + (slice(1, -1),)] /= 2.0
+    return dct1_direct(w, axis)

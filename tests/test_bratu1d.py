@@ -121,6 +121,12 @@ def test_critical_point_scaling():
     assert abs(lam2 - 0.21961442) < 1e-6
 
 
+def test_critical_point_amplitude_is_independent_of_half_width():
+    # A* solves B tanh B = 1 whatever L is, so it is the same float on every domain
+    amplitudes = {critical_point(L)[0] for L in (0.3, 0.5, 1.0, 2.0, 10.0)}
+    assert len(amplitudes) == 1
+
+
 def test_critical_point_matches_dense_sweep():
     # argmax over a 1e4-point sweep agrees within the sweep spacing
     amps = np.linspace(1e-3, 4.0, 10_000)

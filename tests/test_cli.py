@@ -102,12 +102,24 @@ def test_solve_1d_above_fold_exits_3(tmp_path, capsys):
     assert doc["newton"]["converged"] is False
 
 
+def test_singular_jacobian_exits_3_with_trace(tmp_path, capsys):
+    # above the fold these Newton runs meet a singular Jacobian; that is a
+    # solver failure like any other and is reported with its trace
+    for argv in (["solve-1d", "--lambda", "1.75", "--n", "32"],
+                 ["solve-2d", "--lambda", "2.0", "--n", "16", "--guess", "eigenfunction"]):
+        doc = _run_json(argv, tmp_path, expect=3)
+        assert doc["solution"] is None
+        assert "singular" in doc["error"]
+        assert doc["newton"]["converged"] is False
+        assert doc["newton"]["iterations"] >= 1
+    capsys.readouterr()
+
+
 def test_invalid_arguments_exit_2(tmp_path, capsys):
     assert run(["solve-1d", "--lambda", "0.25", "--n", "2"]) == 2
     assert run(["solve-2d", "--lambda", "0.5", "--nonlinearity", "gelfand"]) == 2
     assert run(["solve-2d", "--lambda", "-1.0"]) == 2
     assert run(["bifurcation-1d", "--samples", "1"]) == 2
-    assert run(["bifurcation-1d", "--jobs", "0"]) == 2
     assert run(["solve-1d", "--lambda", "0.25",
                 "--output", str(tmp_path / "no" / "dir.json")]) == 2
     capsys.readouterr()
