@@ -11,11 +11,14 @@ and the boundary condition ties the amplitude to the parameter through
 
     lam(A) = 2 * arccosh(exp(A/2))**2 / (L**2 * exp(A)).
 
-``lam(A)`` rises to a fold (the Frank-Kamenetskii critical value
-``lam*``) and decays again: below the fold every ``lam`` admits a small
-and a big solution.  This module provides the closed-form curve and its
-fold, amplitude lookups on both branches, collocation solutions of the
-discrete problem, and the linearized-stability verdict.
+In ``b = B L`` the curve reads ``A = 2 ln cosh b``, ``lam L**2 =
+2 (b sech b)**2``: ``A`` rises with ``b`` while ``lam`` rises to a fold
+(the Frank-Kamenetskii critical value ``lam*``) at ``b* tanh b* = 1`` and
+decays again, so below the fold every ``lam`` admits a small and a big
+solution, with amplitudes on either side of ``A*``.  This module provides
+the closed-form curve and its fold, amplitude lookups on both branches,
+collocation solutions of the discrete problem, and the linearized-stability
+verdict.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .chebyshev import Grid1D, barycentric_resample, second_diff_matrix
 from .errors import InvalidArgumentError, NoSolutionError
-from .newton import NewtonConfig, NewtonTrace, make_nonlinearity, solve_semilinear
+from .newton import NewtonConfig, NewtonTrace, linearization, make_nonlinearity, solve_semilinear
 from .numerics import EigenResult, eig_general
 
 __all__ = [
@@ -115,25 +117,19 @@ def lambda_slope(amplitude: float, half_width: float = 1.0) -> float:
 def exact_solution(amplitude: float, half_width: float, x) -> np.ndarray:
     """Closed-form solution with center value ``A``, sampled at ``x``.
 
-    ``u(x) = A - 2 log cosh(B x)`` with ``B = sqrt(lam(A) exp(A) / 2)``;
-    ``u(+-L) = 0`` holds by construction of ``lam(A)``.
+    ``u(x) = A - 2 log cosh(B x)`` with ``B = arccosh(exp(A/2)) / L``, so
+    that ``u(+-L) = 0``.
     """
     A = float(_check_amplitude(amplitude))
     L = _check_half_width(half_width)
-    lam = lambda_of_amplitude(A, L)
-    B = math.sqrt(lam * math.exp(A) / 2.0)
+    B = math.acosh(math.exp(A / 2.0)) / L
     z = np.abs(B * np.asarray(x, dtype=float))
     # log cosh(z) = z + log1p(exp(-2z)) - log 2, overflow-free
     return A - 2.0 * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0))
 
 
-def _fold_amplitude() -> float:
-    """``A* = 2 ln cosh B`` with ``B tanh B = 1``, by scalar Newton from 1.2.
-
-    With ``B = sqrt(lam exp(A) / 2)`` the boundary condition reads
-    ``A = 2 ln cosh B`` and ``lam L**2 = 2 B**2 / cosh(B)**2``; both rise
-    with ``A`` up to the fold, where the latter peaks at ``B tanh B = 1``.
-    """
+def _fold_parameter() -> float:
+    """``b*`` solving ``b tanh b = 1``, by scalar Newton from 1.2."""
     b = 1.2
     for _ in range(50):
         t = math.tanh(b)
@@ -141,10 +137,11 @@ def _fold_amplitude() -> float:
         b -= step
         if abs(step) <= 1e-16 * b:
             break
-    return 2.0 * math.log(math.cosh(b))
+    return b
 
 
-_FOLD_AMPLITUDE = _fold_amplitude()
+_FOLD_B = _fold_parameter()
+_FOLD_AMPLITUDE = 2.0 * math.log(math.cosh(_FOLD_B))
 
 
 def critical_point(half_width: float = 1.0) -> tuple[float, float]:
@@ -157,13 +154,32 @@ def critical_point(half_width: float = 1.0) -> tuple[float, float]:
     return _FOLD_AMPLITUDE, lambda_of_amplitude(_FOLD_AMPLITUDE, L)
 
 
+def _solve_b_sech_b(s: float, lo: float, hi: float) -> float:
+    """``b`` in ``[lo, hi]`` with ``b sech b = s``, bisected to adjacent floats.
+
+    ``b sech b``, evaluated as ``2 b e^-b / (1 + e^-2b)`` so that it cannot
+    overflow, rises below ``b*`` and falls above it.
+    """
+    rising = hi <= _FOLD_B
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        e = math.exp(-mid)
+        if (2.0 * mid * e / (1.0 + e * e) > s) == rising:
+            hi = mid
+        else:
+            lo = mid
+
+
 def branch_amplitudes(lam: float, half_width: float = 1.0) -> tuple[float, float]:
     """The two amplitudes solving ``lam(A) = lam`` below the fold.
 
-    Returns ``(A_small, A_big)``, bracketed by ``(0, A*)`` and
-    ``(A*, ...)`` with the upper bracket grown geometrically, then
-    located by Brent's method and polished by Newton so that
-    ``|lam(A) - lam| <= 1e-12``.
+    ``b sech b = s = sqrt(lam L**2 / 2)`` has one root on each side of the
+    fold ``b*``: the small one in ``[s, s cosh b*]``, the big one in
+    ``[b*, 2 ln(2/s) + 2]``, both found by bisection.  Returns
+    ``(A_small, A_big)`` from ``A = 2 log1p(2 sinh(b/2)**2)``, accurate to
+    rounding even as ``lam -> 0``.
 
     Raises
     ------
@@ -175,31 +191,15 @@ def branch_amplitudes(lam: float, half_width: float = 1.0) -> tuple[float, float
     L = _check_half_width(half_width)
     if not np.isfinite(lam) or lam <= 0.0:
         raise InvalidArgumentError("branch amplitudes exist only for 0 < lam < lam*")
-    a_star, lam_star = critical_point(L)
+    lam_star = critical_point(L)[1]
     if lam >= lam_star:
         raise NoSolutionError(
             f"no solutions for lam = {lam!r} at or above the fold lam* = {lam_star!r}"
         )
-
-    def shifted(A: float) -> float:
-        return lambda_of_amplitude(A, L) - lam
-
-    def polish(A: float) -> float:
-        for _ in range(8):
-            err = shifted(A)
-            if abs(err) <= 1e-13 * max(1.0, lam):
-                break
-            A -= err / lambda_slope(A, L)
-        return A
-
-    a_small = polish(brentq(shifted, 1e-18, a_star, xtol=1e-15, rtol=8.9e-16))
-    hi = 2.0 * a_star
-    while shifted(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise NoSolutionError("failed to bracket the big branch")
-    a_big = polish(brentq(shifted, a_star, hi, xtol=1e-15, rtol=8.9e-16))
-    return a_small, a_big
+    s = L * math.sqrt(lam) / math.sqrt(2.0)
+    b_small = _solve_b_sech_b(s, s, min(s * math.cosh(_FOLD_B), _FOLD_B))
+    b_big = _solve_b_sech_b(s, _FOLD_B, 2.0 * math.log(2.0 / s) + 2.0)
+    return tuple(2.0 * math.log1p(2.0 * math.sinh(b / 2.0) ** 2) for b in (b_small, b_big))
 
 
 def bifurcation_curve(half_width: float = 1.0, samples: int = 400,
@@ -253,9 +253,9 @@ def solve_1d(lam: float, grid: Grid1D, guess="zero", amplitude: float = 6.0,
     The interior system ``D2 u + lam exp(u) = 0`` goes to
     :func:`~chebratu.newton.solve_semilinear`; ``guess`` is ``"zero"``,
     ``"onepoint"`` (``amplitude * (1 - (x/L)**2)``, the lowest Galerkin
-    basis function) or a custom vector.  The result is labeled small/big by comparing the
-    interpolated center value against the closed-form branch amplitudes
-    when ``0 < lam < lam*``, and "unknown" otherwise.
+    basis function) or a custom vector.  For ``0 < lam < lam*`` the result
+    is labeled "small" when its interpolated center value lies below the
+    fold amplitude ``A*``, else "big"; otherwise "unknown".
 
     For ``lam`` above the fold the iteration has nothing to converge to
     and the Newton error propagates with its trace.
@@ -272,27 +272,25 @@ def solve_1d(lam: float, grid: Grid1D, guess="zero", amplitude: float = 6.0,
     values[1:-1] = solution
     sol = Solution1D(grid=grid, values=values, lam=float(lam), branch="unknown",
                      trace=trace)
-    if 0.0 < lam < critical_point(grid.half_width)[1]:
-        a_small, a_big = branch_amplitudes(lam, grid.half_width)
-        center = sol.center_value()
-        sol = replace(sol, branch="small" if abs(center - a_small) <= abs(center - a_big)
-                      else "big")
+    a_star, lam_star = critical_point(grid.half_width)
+    if 0.0 < lam < lam_star:
+        sol = replace(sol, branch="small" if sol.center_value() < a_star else "big")
     return sol
 
 
 def stability_1d(sol: Solution1D) -> tuple[bool, float, EigenResult]:
     """Linear stability of a converged solution.
 
-    Forms the linearization ``M = -D2 - lam diag(exp(u))`` on the
-    interior points and returns ``(stable, mu_min, spectrum)`` where
-    ``mu_min`` is the smallest real part of the spectrum and the solution
-    is stable iff ``mu_min > 0``.
+    Forms ``M = -(D2 + lam diag(exp(u)))``, the negated
+    :func:`~chebratu.newton.linearization` on the interior points, and
+    returns ``(stable, mu_min, spectrum)`` where ``mu_min`` is the
+    smallest real part of the spectrum and the solution is stable iff
+    ``mu_min > 0``.
     """
     if not sol.trace.converged:
         raise InvalidArgumentError("stability verdict requires a converged solution")
     d2 = second_diff_matrix(sol.grid).interior
-    interior = sol.values[1:-1]
-    m = -d2 - sol.lam * np.diag(np.exp(interior))
+    m = -linearization(d2, sol.lam, _EXP, sol.values[1:-1])
     spectrum = eig_general(m, want_vectors=False)
     mu_min = float(spectrum.values[0].real)
     return mu_min > 0.0, mu_min, spectrum

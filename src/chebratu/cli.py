@@ -136,14 +136,6 @@ def _trace_doc(trace) -> dict:
     }
 
 
-def _guess_1d(args, grid):
-    if args.guess.startswith("file:"):
-        return np.loadtxt(args.guess[5:])
-    if args.guess in ("zero", "onepoint"):
-        return args.guess
-    raise InvalidArgumentError(f"unsupported 1D guess {args.guess!r}")
-
-
 def _amplitude(args) -> float:
     if args.amplitude is not None:
         return args.amplitude
@@ -214,17 +206,24 @@ def _solve_payload(args, dim: int):
     ``solution`` is None and ``failure`` is the exit-3 payload, which
     carries the trace and the error message.
     """
+    name = getattr(args, "nonlinearity", "exp")
+    if dim == 1 and name != "exp":
+        raise InvalidArgumentError(f"1D solves support only the exp nonlinearity, got {name!r}")
     n = args.n if args.n is not None else (32 if dim == 1 else 16)
     grid = cheb_points(n, args.half_width)
     if dim == 2:
-        nl = make_nonlinearity(args.nonlinearity, args.epsilon)
-    guess = _guess_1d(args, grid) if dim == 1 else _guess_2d(args, grid)
+        nl = make_nonlinearity(name, args.epsilon)
+        guess = _guess_2d(args, grid)
+    elif args.guess.startswith("file:"):
+        guess = np.loadtxt(args.guess[5:])
+    else:
+        guess = args.guess
     params = {
         "lambda": args.lam,
         "L": args.half_width,
         "n": n,
         "guess": args.guess,
-        "nonlinearity": args.nonlinearity if dim == 2 else "exp",
+        "nonlinearity": name,
         "epsilon": getattr(args, "epsilon", None),
     }
     try:

@@ -35,6 +35,7 @@ __all__ = [
     "newton_kantorovich",
     "convergence_order_estimate",
     "make_nonlinearity",
+    "linearization",
     "solve_semilinear",
 ]
 
@@ -221,20 +222,26 @@ def make_nonlinearity(name: str, epsilon: float | None = None) -> Nonlinearity:
     return Nonlinearity(name, _scaled(f), _scaled(df))
 
 
+def linearization(lap, lam: float, nonlinearity: Nonlinearity, u) -> np.ndarray:
+    """``lap + diag(derivative(lam, u))``, the Jacobian of ``lap u + lam f(u)``
+    at ``u``; its negation is the operator of the linear stability problem."""
+    return lap + np.diag(nonlinearity.derivative(lam, u))
+
+
 def solve_semilinear(lap, lam: float, nonlinearity: Nonlinearity, u0,
                      config: NewtonConfig | None = None):
     """Newton-Kantorovich solution of ``lap u + lam f(u) = 0``.
 
     ``lap`` is the dense interior operator (Dirichlet conditions already
     imposed); the residual is ``lap u + value(lam, u)`` and the Jacobian
-    ``lap + diag(derivative(lam, u))``.  Returns and raises as
+    its :func:`linearization`.  Returns and raises as
     :func:`newton_kantorovich`.
     """
     def residual(u):
         return lap @ u + nonlinearity.value(lam, u)
 
     def jacobian(u):
-        return lap + np.diag(nonlinearity.derivative(lam, u))
+        return linearization(lap, lam, nonlinearity, u)
 
     return newton_kantorovich(residual, jacobian, u0, config)
 

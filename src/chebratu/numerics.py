@@ -84,9 +84,7 @@ def _normalize_vectors(vectors: np.ndarray) -> np.ndarray:
     out = np.array(vectors, dtype=complex, copy=True)
     for k in range(out.shape[1]):
         v = out[:, k]
-        mags = np.abs(v)
-        peak = mags.max()
-        v /= peak
+        v /= np.abs(v).max()
         mags = np.abs(v)
         lead = int(np.argmax(mags > 1e-12 * mags.max()))
         phase = v[lead] / abs(v[lead])

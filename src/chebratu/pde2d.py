@@ -51,10 +51,6 @@ class Operator2D:
     grid: Grid1D
     matrix: np.ndarray
 
-    @property
-    def interior_size(self) -> int:
-        return self.grid.n - 1
-
 
 @dataclass(frozen=True)
 class Field2D:

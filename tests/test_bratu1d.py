@@ -150,6 +150,15 @@ def test_branch_amplitudes_fold_coalescence():
     assert a_big - a_small < 1e-3
 
 
+def test_branch_amplitudes_tiny_lambda_series():
+    # A = lam L^2 / 2 + (5/24) (lam L^2)^2 + O((lam L^2)^3) as lam -> 0
+    for L in (0.5, 1.0, 2.0):
+        for x in (1e-12, 1e-9, 1e-6):
+            a_small = branch_amplitudes(x / L**2, L)[0]
+            series = x / 2.0 + 5.0 / 24.0 * x**2
+            assert abs(a_small - series) <= 1e-12 * series
+
+
 def test_branch_amplitudes_errors():
     with pytest.raises(NoSolutionError):
         branch_amplitudes(1.0, 1.0)
@@ -261,17 +270,29 @@ def test_solve_validation(grid32):
 
 def test_branch_dichotomy_sweep():
     """Zero guess always lands small; the one-point guess lands big or
-    fails outright, never small (its basin has gaps below the fold)."""
-    grid = cheb_points(32, 1.0)
-    for frac in np.linspace(0.05, 0.95, 19):
-        lam = frac * LAM_STAR
-        small = solve_1d(lam, grid, guess="zero")
-        assert small.branch == "small"
-        try:
-            big = solve_1d(lam, grid, guess="onepoint", amplitude=6.0)
-        except NewtonError:
-            continue
-        assert big.branch == "big"
+    fails outright, never small (its basin has gaps below the fold).
+    Every label, within 1e-12 of the fold too, is the branch whose
+    closed-form amplitude lies nearest the center value."""
+    sweep = [frac * LAM_STAR for frac in np.linspace(0.05, 0.95, 19)]
+    near_fold = [LAM_STAR - 10.0**-k for k in range(6, 13)]
+    labelled = 0
+    for n in (16, 32, 48):
+        grid = cheb_points(n, 1.0)
+        for lam in sweep + near_fold:
+            a_small, a_big = branch_amplitudes(lam, 1.0)
+            for guess, amplitude in (("zero", 0.0), ("onepoint", 6.0), ("onepoint", A_STAR)):
+                try:
+                    sol = solve_1d(lam, grid, guess=guess, amplitude=amplitude)
+                except NewtonError:
+                    assert guess == "onepoint" or lam in near_fold
+                    continue
+                center = sol.center_value()
+                nearest = "small" if abs(center - a_small) <= abs(center - a_big) else "big"
+                assert sol.branch == nearest, (n, lam, guess, amplitude)
+                if lam in sweep and amplitude != A_STAR:
+                    assert sol.branch == ("small" if guess == "zero" else "big")
+                labelled += 1
+    assert labelled >= 200
 
 
 def test_stability_verdicts(grid32, dual_solutions):

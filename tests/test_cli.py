@@ -120,6 +120,9 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
     assert run(["solve-2d", "--lambda", "0.5", "--nonlinearity", "gelfand"]) == 2
     assert run(["solve-2d", "--lambda", "-1.0"]) == 2
     assert run(["bifurcation-1d", "--samples", "1"]) == 2
+    # 1D solves take only exp; another nonlinearity must not be ignored
+    assert run(["coeffs", "1d", "--lambda", "0.25", "--nonlinearity", "cosh",
+                "--epsilon", "0.3"]) == 2
     assert run(["solve-1d", "--lambda", "0.25",
                 "--output", str(tmp_path / "no" / "dir.json")]) == 2
     capsys.readouterr()
