@@ -202,19 +202,14 @@ def branch_amplitudes(lam: float, half_width: float = 1.0) -> tuple[float, float
     return tuple(2.0 * math.log1p(2.0 * math.sinh(b / 2.0) ** 2) for b in (b_small, b_big))
 
 
-def bifurcation_curve(half_width: float = 1.0, samples: int = 400,
-                      max_amplitude: float | None = None) -> BifurcationCurve:
-    """Sample the closed-form curve uniformly in amplitude.
-
-    ``max_amplitude`` defaults to ``A* + 6``, well past the fold.
-    """
+def bifurcation_curve(half_width: float = 1.0, samples: int = 400) -> BifurcationCurve:
+    """Sample the closed-form curve uniformly in amplitude up to ``A* + 6``,
+    well past the fold."""
     L = _check_half_width(half_width)
     if samples < 2:
         raise InvalidArgumentError("need at least two curve samples")
     fold = critical_point(L)
-    a_max = fold[0] + 6.0 if max_amplitude is None else float(max_amplitude)
-    if a_max <= 0.0:
-        raise InvalidArgumentError("max amplitude must be positive")
+    a_max = fold[0] + 6.0
     amps = a_max * np.arange(1, samples + 1) / samples
     lams = lambda_of_amplitude(amps, L)
     return BifurcationCurve(

@@ -4,8 +4,9 @@ This module provides the collocation machinery used by the 1D and 2D
 solvers: Lobatto grids on ``[-L, L]``, first- and second-order
 differentiation matrices (with the interior restriction that imposes
 homogeneous Dirichlet conditions), forward/inverse Chebyshev coefficient
-transforms in one and two dimensions, and barycentric resampling of grid
-data at arbitrary points.
+transforms and barycentric resampling of grid data at arbitrary points.
+The transforms and the resampler act along every axis of their input, so
+one function serves a 1D vector and a 2D tensor-grid array alike.
 
 Conventions
 -----------
@@ -33,16 +34,12 @@ from .errors import InvalidArgumentError
 __all__ = [
     "Grid1D",
     "DiffMatrix",
-    "ChebCoeffs",
     "cheb_points",
     "diff_matrix",
     "second_diff_matrix",
     "cheb_transform",
     "inverse_cheb_transform",
-    "cheb_transform_2d",
-    "inverse_cheb_transform_2d",
     "barycentric_resample",
-    "barycentric_resample_2d",
 ]
 
 
@@ -95,13 +92,6 @@ class DiffMatrix:
     n: int
     entries: np.ndarray
     interior: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class ChebCoeffs:
-    """Chebyshev-series coefficients ``a_k`` (1D vector or 2D matrix)."""
-
-    coeffs: np.ndarray
 
 
 def _unit_points(n: int) -> np.ndarray:
@@ -221,66 +211,48 @@ def _inverse_1d(coeffs: np.ndarray, axis: int) -> np.ndarray:
     return _fft.dct(w, type=1, axis=axis)
 
 
-def cheb_transform(grid: Grid1D, values) -> ChebCoeffs:
+def _tensor(grid: Grid1D, a, what: str) -> np.ndarray:
+    """``a`` as a float array of ``n + 1`` entries along each of its 1 or 2 axes."""
+    a = np.asarray(a, dtype=float)
+    m = grid.n + 1
+    if a.ndim not in (1, 2) or a.shape != (m,) * a.ndim:
+        raise InvalidArgumentError(
+            f"expected {what} of shape ({m},) or ({m}, {m}) for grid order {grid.n}, "
+            f"got shape {a.shape}"
+        )
+    return a
+
+
+def cheb_transform(grid: Grid1D, values) -> np.ndarray:
     """Coefficients of the interpolant of ``values`` on ``grid``.
 
     Parameters
     ----------
     grid : Grid1D
-    values : array_like, shape (n + 1,)
-        Samples at the grid points (descending order).
+    values : array_like, shape (n + 1,) or (n + 1, n + 1)
+        Samples at the grid points (descending order along each axis);
+        ``values[i, j]`` is the sample at ``(x_i, x_j)`` on the tensor grid.
 
     Returns
     -------
-    ChebCoeffs
-        Coefficients ``a_k`` of ``sum_k a_k T_k(x / L)``, index 0..n.
+    ndarray, read-only, same shape as ``values``
+        Coefficients ``a_k`` of ``sum_k a_k T_k(x / L)``, index 0..n; in
+        2D ``a[k, l]`` multiplies ``T_k(. / L) T_l(. / L)`` with ``k``
+        attached to axis 0 and ``l`` to axis 1.
     """
-    v = np.asarray(values, dtype=float)
-    if v.shape != (grid.n + 1,):
-        raise InvalidArgumentError(
-            f"expected {grid.n + 1} values for grid order {grid.n}, got shape {v.shape}"
-        )
-    return ChebCoeffs(coeffs=_readonly(_forward_1d(v, 0)))
+    a = _tensor(grid, values, "samples")
+    for axis in range(a.ndim):
+        a = _forward_1d(a, axis)
+    return _readonly(a)
 
 
-def inverse_cheb_transform(grid: Grid1D, coeffs: ChebCoeffs) -> np.ndarray:
+def inverse_cheb_transform(grid: Grid1D, coeffs) -> np.ndarray:
     """Grid values of the series with the given coefficients (adjoint of
     :func:`cheb_transform`; the round trip is the identity to rounding)."""
-    a = np.asarray(coeffs.coeffs, dtype=float)
-    if a.shape != (grid.n + 1,):
-        raise InvalidArgumentError(
-            f"expected {grid.n + 1} coefficients for grid order {grid.n}, got shape {a.shape}"
-        )
-    return _inverse_1d(a, 0)
-
-
-def cheb_transform_2d(grid: Grid1D, values) -> ChebCoeffs:
-    """Tensor-product transform of a square array of grid samples.
-
-    ``values[i, j]`` holds the sample at ``(x_i, x_j)`` on the tensor
-    grid; the result ``a[k, l]`` is the coefficient of
-    ``T_k(. / L) T_l(. / L)`` with ``k`` attached to axis 0 and ``l`` to
-    axis 1.
-    """
-    v = np.asarray(values, dtype=float)
-    m = grid.n + 1
-    if v.shape != (m, m):
-        raise InvalidArgumentError(
-            f"expected a square ({m}, {m}) array of samples, got shape {v.shape}"
-        )
-    a = _forward_1d(_forward_1d(v, 0), 1)
-    return ChebCoeffs(coeffs=_readonly(a))
-
-
-def inverse_cheb_transform_2d(grid: Grid1D, coeffs: ChebCoeffs) -> np.ndarray:
-    """Inverse of :func:`cheb_transform_2d`."""
-    a = np.asarray(coeffs.coeffs, dtype=float)
-    m = grid.n + 1
-    if a.shape != (m, m):
-        raise InvalidArgumentError(
-            f"expected a square ({m}, {m}) coefficient array, got shape {a.shape}"
-        )
-    return _inverse_1d(_inverse_1d(a, 0), 1)
+    v = _tensor(grid, coeffs, "coefficients")
+    for axis in range(v.ndim):
+        v = _inverse_1d(v, axis)
+    return _readonly(v)
 
 
 # ---------------------------------------------------------------------------
@@ -317,36 +289,20 @@ def _resample_matrix(grid: Grid1D, targets: np.ndarray) -> np.ndarray:
     return E
 
 
-def barycentric_resample(grid: Grid1D, values, targets) -> np.ndarray:
+def barycentric_resample(grid: Grid1D, values, *targets) -> np.ndarray:
     """Evaluate the interpolant of ``values`` at arbitrary points.
 
-    Targets coinciding with grid points reproduce the input values
-    exactly; other targets use the barycentric formula, which is
-    backward-stable on Lobatto points.
+    ``values`` is a vector or a square tensor-grid array and ``targets``
+    holds one array of points per axis; in 2D the result has shape
+    ``(len(targets[0]), len(targets[1]))``.  Targets coinciding with grid
+    points reproduce the input values exactly; other targets use the
+    barycentric formula, which is backward-stable on Lobatto points.
     """
-    v = np.asarray(values, dtype=float)
-    if v.shape != (grid.n + 1,):
+    v = _tensor(grid, values, "samples")
+    if len(targets) != v.ndim:
         raise InvalidArgumentError(
-            f"expected {grid.n + 1} values for grid order {grid.n}, got shape {v.shape}"
+            f"expected one target array per axis ({v.ndim}), got {len(targets)}"
         )
-    t = np.atleast_1d(np.asarray(targets, dtype=float))
-    return _resample_matrix(grid, t) @ v
-
-
-def barycentric_resample_2d(grid: Grid1D, values, targets_x, targets_y) -> np.ndarray:
-    """Tensor-product resampling of square grid data.
-
-    ``values[i, j]`` samples axis-0 point ``x_i`` and axis-1 point
-    ``x_j``; the result has shape ``(len(targets_x), len(targets_y))``.
-    """
-    v = np.asarray(values, dtype=float)
-    m = grid.n + 1
-    if v.shape != (m, m):
-        raise InvalidArgumentError(
-            f"expected a square ({m}, {m}) array of samples, got shape {v.shape}"
-        )
-    tx = np.atleast_1d(np.asarray(targets_x, dtype=float))
-    ty = np.atleast_1d(np.asarray(targets_y, dtype=float))
-    Ex = _resample_matrix(grid, tx)
-    Ey = _resample_matrix(grid, ty)
-    return Ex @ v @ Ey.T
+    E = [_resample_matrix(grid, np.atleast_1d(np.asarray(t, dtype=float))) for t in targets]
+    out = E[0] @ v
+    return out @ E[1].T if v.ndim == 2 else out

@@ -246,7 +246,7 @@ def _cmd_solve_1d(args):
     sol, grid, failure, params = _solve_payload(args, 1)
     if failure is not None:
         return 3, failure, None
-    decay = diagnostics.decay_report_1d(sol)
+    decay = diagnostics.decay_report(grid, sol.values)
     doc = {
         "params": params,
         "solution": {
@@ -304,7 +304,7 @@ def _cmd_solve_2d(args):
     sol, grid, failure, params = _solve_payload(args, 2)
     if failure is not None:
         return 3, failure, None
-    decay = diagnostics.decay_report_2d(sol)
+    decay = diagnostics.decay_report(grid, sol.embed().T)
     sym = diagnostics.symmetry_report(sol)
     full = sol.embed()
     doc = {
@@ -336,20 +336,9 @@ def _cmd_coeffs(args):
     sol, grid, failure, params = _solve_payload(args, 1 if args.dim == "1d" else 2)
     if failure is not None:
         return 3, failure, None
-    if args.dim == "1d":
-        rep = diagnostics.decay_report_1d(sol)
-        coeff_doc = list(map(float, rep.coeffs))
-        rows = [(k, float(v)) for k, v in enumerate(rep.coeffs)]
-        columns = ["k", "abs_coeff"]
-    else:
-        rep = diagnostics.decay_report_2d(sol)
-        coeff_doc = [list(map(float, row)) for row in rep.coeffs]
-        rows = [
-            (k, l, float(rep.coeffs[k, l]))
-            for k in range(rep.coeffs.shape[0])
-            for l in range(rep.coeffs.shape[1])
-        ]
-        columns = ["k", "l", "abs_coeff"]
+    rep = diagnostics.decay_report(grid, sol.values if args.dim == "1d" else sol.embed().T)
+    rows = [(*idx, float(v)) for idx, v in np.ndenumerate(rep.coeffs)]
+    columns = ["k", "l"][:rep.coeffs.ndim] + ["abs_coeff"]
     doc = {
         "params": params,
         "decay": {
@@ -358,7 +347,7 @@ def _cmd_coeffs(args):
             "fit_rate": rep.fit_rate,
             "plateau": rep.plateau,
         },
-        "coefficients": coeff_doc,
+        "coefficients": rep.coeffs.tolist(),
         "newton": _trace_doc(sol.trace),
     }
     return 0, doc, ([], columns, rows)
@@ -437,9 +426,8 @@ def _write(text: str, path: str | None) -> None:
 
 def run(argv=None) -> int:
     """Parse argv, dispatch, write the output; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -455,6 +443,11 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"chebratu: i/o error: {exc}", file=sys.stderr)
         return 2
+
+
+# Built once: building the eight-subcommand parser costs far more than a parse,
+# and parse_args leaves the parser unchanged, so every run() can share it.
+_PARSER = _build_parser()
 
 
 def main() -> None:

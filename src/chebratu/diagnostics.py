@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import cheb_transform, cheb_transform_2d
+from .chebyshev import Grid1D, cheb_transform
 from .errors import InvalidArgumentError
-from .pde2d import Field2D
 
 __all__ = [
     "DecayReport",
     "SymmetryReport",
-    "decay_report_1d",
-    "decay_report_2d",
+    "decay_report",
     "symmetry_report",
 ]
 
@@ -32,13 +30,14 @@ _TINY = 1e-300
 class DecayReport:
     """Coefficient-decay profile of a solution.
 
-    ``even_floor``/``odd_floor`` are the largest coefficient magnitudes
-    over even (beyond index 0) and odd indices; in 2D "odd" means any
-    index odd and "even" means both indices even.  ``fit_rate`` is the
-    least-squares slope of ``log10 |a_k|`` against the index over the
-    pre-plateau range of the even profile (None when fewer than four
-    points precede the plateau); ``plateau`` estimates the rounding
-    floor.
+    ``coeffs`` holds the coefficient magnitudes, one axis per axis of
+    the samples.  ``even_floor``/``odd_floor`` are the largest of them
+    over even and odd indices: "odd" means any index odd and "even"
+    means every index even, the origin excluded.  ``fit_rate`` is the
+    least-squares slope of ``log10 |a|`` against ``k`` along the even
+    diagonal ``a_k`` (1D) or ``a_{k,k}`` (2D), over its pre-plateau range
+    (None when fewer than four points precede the plateau); ``plateau``
+    estimates the rounding floor.
     """
 
     coeffs: np.ndarray
@@ -83,42 +82,27 @@ def _fit_and_plateau(indices: np.ndarray, mags: np.ndarray):
     return fit_rate, plateau
 
 
-def decay_report_1d(sol) -> DecayReport:
-    """Decay/parity report for a 1D solution (full-grid values)."""
-    a = cheb_transform(sol.grid, sol.values).coeffs
-    mags = np.abs(a)
-    odd_floor = float(mags[1::2].max()) if sol.grid.n >= 1 else 0.0
-    even_floor = float(mags[2::2].max()) if sol.grid.n >= 2 else 0.0
-    even_idx = np.arange(0, sol.grid.n + 1, 2)
-    fit_rate, plateau = _fit_and_plateau(even_idx, mags[even_idx])
-    return DecayReport(coeffs=mags, even_floor=even_floor, odd_floor=odd_floor,
-                       fit_rate=fit_rate, plateau=plateau)
+def decay_report(grid: Grid1D, values) -> DecayReport:
+    """Decay/parity report of grid samples, a vector or a square array.
 
-
-def decay_report_2d(field: Field2D) -> DecayReport:
-    """Decay/parity report for a 2D field (boundary-embedded transform).
-
-    Parity floors scan the full coefficient matrix; the decay fit runs
-    along the diagonal ``a_{k,k}``.
+    1D solutions pass their full-grid ``values``; 2D fields pass
+    ``field.embed().T``, the boundary-embedded samples with ``x`` on
+    axis 0.
     """
-    a = cheb_transform_2d(field.grid, field.embed().T).coeffs
-    mags = np.abs(a)
-    n = field.grid.n
-    odd_mask = np.zeros_like(mags, dtype=bool)
-    odd_mask[1::2, :] = True
-    odd_mask[:, 1::2] = True
-    even_mask = ~odd_mask
-    even_mask[0, 0] = False
-    odd_floor = float(mags[odd_mask].max())
-    even_floor = float(mags[even_mask].max())
-    diag_idx = np.arange(0, n + 1, 2)
-    fit_rate, plateau = _fit_and_plateau(diag_idx, np.diag(mags)[diag_idx])
-    return DecayReport(coeffs=mags, even_floor=even_floor, odd_floor=odd_floor,
+    mags = np.abs(cheb_transform(grid, values))
+    odd = np.logical_or.reduce(np.indices(mags.shape) % 2 == 1)
+    even = ~odd
+    even[(0,) * mags.ndim] = False
+    diag_idx = np.arange(0, grid.n + 1, 2)
+    fit_rate, plateau = _fit_and_plateau(diag_idx, mags[(diag_idx,) * mags.ndim])
+    return DecayReport(coeffs=mags, even_floor=float(mags[even].max(initial=0.0)),
+                       odd_floor=float(mags[odd].max(initial=0.0)),
                        fit_rate=fit_rate, plateau=plateau)
 
 
-def symmetry_report(field: Field2D) -> SymmetryReport:
-    """Deviations from 90-degree rotation, transposition and reflections."""
+def symmetry_report(field) -> SymmetryReport:
+    """Deviations of a :class:`~chebratu.pde2d.Field2D` from 90-degree
+    rotation, transposition and reflections."""
     u = np.asarray(field.interior, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidArgumentError("symmetry report needs a square interior matrix")

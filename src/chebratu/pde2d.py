@@ -23,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import Grid1D, barycentric_resample_2d, second_diff_matrix
+from .chebyshev import Grid1D, barycentric_resample, second_diff_matrix
 from .errors import InvalidArgumentError
 from .newton import NewtonConfig, NewtonTrace, Nonlinearity, solve_semilinear
 from .numerics import EigenResult, eig_general
 
 __all__ = [
-    "Operator2D",
     "Field2D",
     "assemble_laplacian",
     "laplacian_eigs",
@@ -38,18 +37,6 @@ __all__ = [
     "solve_2d",
     "onepoint_lambda",
 ]
-
-
-@dataclass(frozen=True)
-class Operator2D:
-    """Discrete Dirichlet Laplacian on the interior tensor grid.
-
-    ``matrix`` is dense ``M^2 x M^2`` with ``M = n - 1`` interior points
-    per axis, acting on vectors ordered x-fastest (``k = iy * M + ix``).
-    """
-
-    grid: Grid1D
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,26 +79,31 @@ class Field2D:
     def center_value(self) -> float:
         """Interpolated value at the center of the square."""
         return float(
-            barycentric_resample_2d(self.grid, self.embed(), [0.0], [0.0])[0, 0]
+            barycentric_resample(self.grid, self.embed(), [0.0], [0.0])[0, 0]
         )
 
 
-def assemble_laplacian(grid: Grid1D) -> Operator2D:
-    """Kronecker-sum Laplacian ``kron(I, D2) + kron(D2, I)``."""
+def assemble_laplacian(grid: Grid1D) -> np.ndarray:
+    """Kronecker-sum Laplacian ``kron(I, D2) + kron(D2, I)``.
+
+    The discrete Dirichlet Laplacian on the interior tensor grid: dense
+    ``M^2 x M^2`` with ``M = n - 1`` interior points per axis, acting on
+    vectors ordered x-fastest (``k = iy * M + ix``).
+    """
     if grid.n < 3:
         raise InvalidArgumentError("2D assembly needs grid order >= 3")
     d2 = second_diff_matrix(grid).interior
     eye = np.eye(grid.n - 1)
-    return Operator2D(grid=grid, matrix=np.kron(eye, d2) + np.kron(d2, eye))
+    return np.kron(eye, d2) + np.kron(d2, eye)
 
 
 def laplacian_eigs(grid: Grid1D, k: int) -> EigenResult:
     """First ``k`` eigenpairs of ``-Lap``, sorted ascending."""
-    op = assemble_laplacian(grid)
-    m2 = op.matrix.shape[0]
+    lap = assemble_laplacian(grid)
+    m2 = lap.shape[0]
     if not 1 <= k <= m2:
         raise InvalidArgumentError(f"eigenpair count must be in [1, {m2}], got {k}")
-    full = eig_general(-op.matrix, want_vectors=True)
+    full = eig_general(-lap, want_vectors=True)
     return EigenResult(values=full.values[:k], vectors=full.vectors[:, :k])
 
 
@@ -170,6 +162,6 @@ def solve_2d(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, guess: Field2
         raise InvalidArgumentError(f"lam must be nonnegative, got {lam!r}")
     if guess.grid.n != grid.n or guess.grid.half_width != grid.half_width:
         raise InvalidArgumentError("guess and solve grids differ")
-    op = assemble_laplacian(grid)
-    solution, trace = solve_semilinear(op.matrix, lam, nonlinearity, guess.as_vector(), config)
+    lap = assemble_laplacian(grid)
+    solution, trace = solve_semilinear(lap, lam, nonlinearity, guess.as_vector(), config)
     return Field2D.from_vector(grid, solution, lam=float(lam), trace=trace)

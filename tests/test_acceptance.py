@@ -41,8 +41,7 @@ from chebratu import (
     cheb_transform,
     convergence_order_estimate,
     critical_point,
-    decay_report_1d,
-    decay_report_2d,
+    decay_report,
     diff_matrix,
     exact_solution,
     guess_eigenfunction,
@@ -275,10 +274,12 @@ def test_criterion_08_2d_symmetries():
 def test_criterion_09_parity_and_decay():
     t0 = time.perf_counter()
     _, small1d, big1d = _dual_1d()
-    rep_s1 = decay_report_1d(small1d)
-    rep_b1 = decay_report_1d(big1d)
-    rep_s2 = decay_report_2d(_solve_2d_exp(16, "eigenfunction", 0.1))
-    rep_b2 = decay_report_2d(_solve_2d_exp(16, "onepoint", 6.0))
+    rep_s1 = decay_report(small1d.grid, small1d.values)
+    rep_b1 = decay_report(big1d.grid, big1d.values)
+    small2d = _solve_2d_exp(16, "eigenfunction", 0.1)
+    big2d = _solve_2d_exp(16, "onepoint", 6.0)
+    rep_s2 = decay_report(small2d.grid, small2d.embed().T)
+    rep_b2 = decay_report(big2d.grid, big2d.embed().T)
     checks = [
         (f"1D small odd floor <= 1e-12 (got {rep_s1.odd_floor:.2e})",
          rep_s1.odd_floor <= 1e-12),
@@ -326,7 +327,7 @@ def test_criterion_11_gelfand_and_hyperbolic_variants():
     for label, sol in (("cosh", cosh_sol), ("sinh", sinh_sol)):
         rep = symmetry_report(sol)
         dev = max(rep.rot90_dev, rep.transpose_dev, rep.reflect_x_dev, rep.reflect_y_dev)
-        odd = decay_report_2d(sol).odd_floor
+        odd = decay_report(sol.grid, sol.embed().T).odd_floor
         checks.append((f"{label} symmetry deviations <= 1e-9 (got {dev:.2e})", dev <= 1e-9))
         checks.append((f"{label} odd floor <= 1e-12 (got {odd:.2e})", odd <= 1e-12))
     _finish(11, "nonlinearity-variants", t0, None, checks)
@@ -341,7 +342,7 @@ def test_criterion_12_property_suites():
     ok = True
     grid = cheb_points(12, 1.0)
     d2 = second_diff_matrix(grid).interior
-    lap = assemble_laplacian(cheb_points(8, 1.0)).matrix
+    lap = assemble_laplacian(cheb_points(8, 1.0))
     nls = [make_nonlinearity(n, e) for n, e in
            (("exp", None), ("gelfand", 1e-2), ("cosh", None), ("sinh", None))]
     h = 1e-6
@@ -368,7 +369,7 @@ def test_criterion_12_property_suites():
         n = int(rng.integers(4, 13))
         g = cheb_points(n, float(rng.choice([0.5, 1.0, 2.0])))
         block = second_diff_matrix(g).interior
-        op = assemble_laplacian(g).matrix
+        op = assemble_laplacian(g)
         u = rng.uniform(-1.0, 1.0, (n - 1, n - 1))
         lhs = op @ u.reshape(-1)
         rhs = (u @ block.T + block @ u).reshape(-1)

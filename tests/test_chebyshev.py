@@ -5,13 +5,10 @@ import pytest
 
 from chebratu import (
     barycentric_resample,
-    barycentric_resample_2d,
     cheb_points,
     cheb_transform,
-    cheb_transform_2d,
     diff_matrix,
     inverse_cheb_transform,
-    inverse_cheb_transform_2d,
     second_diff_matrix,
 )
 from chebratu.errors import InvalidArgumentError
@@ -144,7 +141,7 @@ def test_polynomial_exactness_property():
 def test_transform_chebyshev_polynomial():
     grid = cheb_points(8, 1.0)
     t2 = 2.0 * grid.points**2 - 1.0
-    a = cheb_transform(grid, t2).coeffs
+    a = cheb_transform(grid, t2)
     assert abs(a[2] - 1.0) < 1e-14
     mask = np.ones(9, bool)
     mask[2] = False
@@ -153,14 +150,14 @@ def test_transform_chebyshev_polynomial():
 
 def test_transform_constant():
     grid = cheb_points(6, 1.0)
-    a = cheb_transform(grid, np.ones(7)).coeffs
+    a = cheb_transform(grid, np.ones(7))
     assert abs(a[0] - 1.0) < 1e-15
     assert np.max(np.abs(a[1:])) < 1e-15
 
 
 def test_transform_cubic():
     grid = cheb_points(8, 1.0)
-    a = cheb_transform(grid, grid.points**3).coeffs
+    a = cheb_transform(grid, grid.points**3)
     assert abs(a[1] - 0.75) < 1e-14
     assert abs(a[3] - 0.25) < 1e-14
     mask = np.ones(9, bool)
@@ -171,7 +168,7 @@ def test_transform_cubic():
 def test_transform_scaled_domain():
     # coefficients are those of T_k(x / L)
     grid = cheb_points(8, 2.0)
-    a = cheb_transform(grid, (grid.points / 2.0) ** 3).coeffs
+    a = cheb_transform(grid, (grid.points / 2.0) ** 3)
     assert abs(a[1] - 0.75) < 1e-14
     assert abs(a[3] - 0.25) < 1e-14
 
@@ -182,7 +179,7 @@ def test_transform_fast_direct_agreement():
         n = int(rng.integers(1, 40))
         grid = cheb_points(n, 1.0)
         v = rng.uniform(-1.0, 1.0, n + 1)
-        fast = cheb_transform(grid, v).coeffs
+        fast = cheb_transform(grid, v)
         direct = cheb_coeffs_direct(v)
         assert np.max(np.abs(fast - direct)) < 1e-13 * max(1.0, np.max(np.abs(v)))
 
@@ -196,7 +193,7 @@ def test_transform_round_trip_property():
         coeffs = cheb_transform(grid, v)
         back = inverse_cheb_transform(grid, coeffs)
         assert np.max(np.abs(back - v)) < 1e-13 * np.max(np.abs(v))
-        direct = cheb_values_direct(coeffs.coeffs)
+        direct = cheb_values_direct(coeffs)
         assert np.max(np.abs(back - direct)) < 1e-13 * np.max(np.abs(v))
 
 
@@ -204,6 +201,8 @@ def test_transform_validation():
     grid = cheb_points(8, 1.0)
     with pytest.raises(InvalidArgumentError):
         cheb_transform(grid, np.ones(8))
+    with pytest.raises(InvalidArgumentError):
+        cheb_transform(grid, 1.0)
 
 
 def test_transform_2d_product_polynomial():
@@ -212,7 +211,7 @@ def test_transform_2d_product_polynomial():
     t1 = x
     t2 = 2.0 * x**2 - 1.0
     values = np.outer(t1, t2)  # values[i, j] = T1(x_i) T2(x_j)
-    a = cheb_transform_2d(grid, values).coeffs
+    a = cheb_transform(grid, values)
     assert abs(a[1, 2] - 1.0) < 1e-14
     mask = np.ones_like(a, bool)
     mask[1, 2] = False
@@ -221,7 +220,7 @@ def test_transform_2d_product_polynomial():
 
 def test_transform_2d_constant():
     grid = cheb_points(5, 1.0)
-    a = cheb_transform_2d(grid, np.ones((6, 6))).coeffs
+    a = cheb_transform(grid, np.ones((6, 6)))
     assert abs(a[0, 0] - 1.0) < 1e-14
     mask = np.ones_like(a, bool)
     mask[0, 0] = False
@@ -232,7 +231,7 @@ def test_transform_2d_biquadratic():
     grid = cheb_points(6, 1.0)
     x = grid.points
     values = np.outer(1.0 - x**2, 1.0 - x**2)
-    a = cheb_transform_2d(grid, values).coeffs
+    a = cheb_transform(grid, values)
     # 1 - x^2 = (T0 - T2) / 2, so the nonzero block is {0,2} x {0,2}
     for (k, l), val in np.ndenumerate(np.outer([0.5, -0.5], [0.5, -0.5])):
         assert abs(a[2 * k, 2 * l] - val) < 1e-14
@@ -245,14 +244,14 @@ def test_transform_2d_round_trip_and_validation():
     rng = np.random.default_rng(17)
     grid = cheb_points(9, 1.0)
     v = rng.uniform(-1.0, 1.0, (10, 10))
-    coeffs = cheb_transform_2d(grid, v)
-    assert np.max(np.abs(coeffs.coeffs - cheb_coeffs_direct(cheb_coeffs_direct(v, 0), 1))) < 1e-13
-    back = inverse_cheb_transform_2d(grid, coeffs)
+    coeffs = cheb_transform(grid, v)
+    assert np.max(np.abs(coeffs - cheb_coeffs_direct(cheb_coeffs_direct(v, 0), 1))) < 1e-13
+    back = inverse_cheb_transform(grid, coeffs)
     assert np.max(np.abs(back - v)) < 1e-13
-    direct = cheb_values_direct(cheb_values_direct(coeffs.coeffs, 0), 1)
+    direct = cheb_values_direct(cheb_values_direct(coeffs, 0), 1)
     assert np.max(np.abs(back - direct)) < 1e-13
     with pytest.raises(InvalidArgumentError):
-        cheb_transform_2d(grid, np.ones((10, 9)))
+        cheb_transform(grid, np.ones((10, 9)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +293,13 @@ def test_resample_target_validation():
         barycentric_resample(grid, np.zeros(7), [1.5])
     with pytest.raises(InvalidArgumentError):
         barycentric_resample(grid, np.zeros(6), [0.0])
+    # one target array per axis of the samples, and at most two axes
+    with pytest.raises(InvalidArgumentError):
+        barycentric_resample(grid, np.zeros(7), [0.0], [0.0])
+    with pytest.raises(InvalidArgumentError):
+        barycentric_resample(grid, np.zeros((7, 7)), [0.0])
+    with pytest.raises(InvalidArgumentError):
+        barycentric_resample(grid, np.zeros((7, 7, 7)), [0.0], [0.0], [0.0])
 
 
 def test_resample_2d_tensor_polynomial():
@@ -302,6 +308,6 @@ def test_resample_2d_tensor_polynomial():
     values = np.outer(x**3, 1.0 - x**2)
     tx = np.linspace(-1.0, 1.0, 9)
     ty = np.linspace(-1.0, 1.0, 11)
-    out = barycentric_resample_2d(grid, values, tx, ty)
+    out = barycentric_resample(grid, values, tx, ty)
     expect = np.outer(tx**3, 1.0 - ty**2)
     assert np.max(np.abs(out - expect)) < 1e-12

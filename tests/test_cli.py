@@ -179,6 +179,22 @@ def test_coeffs_1d_and_2d(tmp_path):
     assert doc["decay"]["odd_floor"] <= 1e-12
     assert len(doc["coefficients"]) == 13
 
+    # the 2D table holds one (k, l, |a_kl|) row per coefficient
+    for fmt in ("csv", "dat"):
+        path = tmp_path / f"c2.{fmt}"
+        assert run(["coeffs", "2d", "--lambda", "0.5", "--n", "12", "--guess", "eigenfunction",
+                    "--format", fmt, "--output", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        if fmt == "csv":
+            assert lines[0] == "k,l,abs_coeff"
+            rows = [ln.split(",") for ln in lines[1:]]
+        else:
+            assert lines[0] == "# k  l  abs_coeff"
+            rows = [ln.split() for ln in lines[1:]]
+        assert len(rows) == 13 * 13
+        assert {len(r) for r in rows} == {3}
+        assert [r[:2] for r in rows[:2]] == [["0", "0"], ["0", "1"]]
+
 
 def test_symmetry_command(tmp_path):
     doc = _run_json(["symmetry", "--lambda", "0.5", "--n", "16",

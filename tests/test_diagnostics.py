@@ -5,11 +5,8 @@ import pytest
 
 from chebratu import (
     Field2D,
-    NewtonTrace,
-    Solution1D,
     cheb_points,
-    decay_report_1d,
-    decay_report_2d,
+    decay_report,
     guess_eigenfunction,
     guess_onepoint,
     make_nonlinearity,
@@ -20,9 +17,9 @@ from chebratu import (
 from chebratu.errors import InvalidArgumentError
 
 
-def _as_solution(grid, values):
-    return Solution1D(grid=grid, values=np.asarray(values, float), lam=0.0,
-                      branch="unknown", trace=NewtonTrace())
+def _report_2d(field):
+    """Decay report of a 2D field, samples with x on axis 0."""
+    return decay_report(field.grid, field.embed().T)
 
 
 @pytest.fixture(scope="module")
@@ -48,15 +45,15 @@ def solutions_2d(grid16):
 
 def test_even_function_has_vanishing_odd_coefficients():
     grid = cheb_points(20, 1.0)
-    rep = decay_report_1d(_as_solution(grid, np.cos(grid.points)))
+    rep = decay_report(grid, np.cos(grid.points))
     assert rep.odd_floor <= 1e-14
     assert rep.fit_rate is not None and rep.fit_rate < 0.0
 
 
 def test_1d_solution_parity_and_rates(solutions_1d):
     small, big = solutions_1d
-    rep_small = decay_report_1d(small)
-    rep_big = decay_report_1d(big)
+    rep_small = decay_report(small.grid, small.values)
+    rep_big = decay_report(big.grid, big.values)
     assert rep_small.odd_floor <= 1e-12
     assert rep_big.odd_floor <= 1e-12
     assert rep_small.fit_rate < 0.0
@@ -68,22 +65,22 @@ def test_1d_solution_parity_and_rates(solutions_1d):
 
 def test_2d_eigenfunction_parity_and_rate(grid16):
     f = guess_eigenfunction(grid16, 1.0)
-    rep = decay_report_2d(f)
+    rep = _report_2d(f)
     assert rep.odd_floor <= 1e-12
     assert rep.fit_rate < 0.0
 
 
 def test_2d_solution_rate_shallower_than_eigenfunction(grid16, solutions_2d):
     small, _ = solutions_2d
-    rep_sol = decay_report_2d(small)
-    rep_eig = decay_report_2d(guess_eigenfunction(grid16, 1.0))
+    rep_sol = _report_2d(small)
+    rep_eig = _report_2d(guess_eigenfunction(grid16, 1.0))
     assert rep_sol.odd_floor <= 1e-12
     assert rep_sol.fit_rate < 0.0
     assert rep_sol.fit_rate > rep_eig.fit_rate
 
 
 def test_2d_biquadratic_coefficients(grid16):
-    rep = decay_report_2d(guess_onepoint(grid16, 1.0))
+    rep = _report_2d(guess_onepoint(grid16, 1.0))
     mags = rep.coeffs
     mask = np.zeros_like(mags, dtype=bool)
     mask[3:, :] = True
@@ -92,7 +89,7 @@ def test_2d_biquadratic_coefficients(grid16):
 
 
 def test_zero_field_report(grid16):
-    rep = decay_report_2d(Field2D(grid=grid16, interior=np.zeros((15, 15))))
+    rep = _report_2d(Field2D(grid=grid16, interior=np.zeros((15, 15))))
     assert rep.odd_floor == 0.0
     assert rep.even_floor == 0.0
 
@@ -138,6 +135,6 @@ def test_symmetrizing_never_increases_reports(grid16):
         after_sym = symmetry_report(Field2D(grid=grid16, interior=sym))
         for name in ("rot90_dev", "transpose_dev", "reflect_x_dev", "reflect_y_dev"):
             assert getattr(after_sym, name) <= getattr(before_sym, name) + 1e-15
-        before = decay_report_2d(Field2D(grid=grid16, interior=u))
-        after = decay_report_2d(Field2D(grid=grid16, interior=sym))
+        before = _report_2d(Field2D(grid=grid16, interior=u))
+        after = _report_2d(Field2D(grid=grid16, interior=sym))
         assert after.odd_floor <= before.odd_floor + 1e-15
