@@ -13,8 +13,9 @@ from .chebyshev import (
     inverse_cheb_transform,
     second_diff_matrix,
 )
-from .numerics import EigenResult, eig_general, lu_solve
+from .numerics import EigenResult, eig_general, gmres, lu_solve
 from .newton import (
+    DenseOperator,
     NewtonConfig,
     NewtonTrace,
     Nonlinearity,
@@ -37,12 +38,13 @@ from .bratu1d import (
 )
 from .pde2d import (
     Field2D,
-    assemble_laplacian,
+    TensorLaplacian,
     guess_eigenfunction,
     guess_onepoint,
     laplacian_eigs,
     onepoint_lambda,
     solve_2d,
+    tensor_laplacian,
 )
 from .diagnostics import (
     DecayReport,
@@ -58,13 +60,13 @@ __all__ = [
     "Grid1D", "DiffMatrix", "cheb_points", "diff_matrix",
     "second_diff_matrix", "cheb_transform", "inverse_cheb_transform",
     "barycentric_resample",
-    "EigenResult", "lu_solve", "eig_general",
+    "EigenResult", "lu_solve", "gmres", "eig_general",
     "NewtonConfig", "NewtonTrace", "newton_kantorovich", "convergence_order_estimate",
-    "Nonlinearity", "make_nonlinearity", "solve_semilinear",
+    "Nonlinearity", "make_nonlinearity", "DenseOperator", "solve_semilinear",
     "BifurcationCurve", "Solution1D", "lambda_of_amplitude", "lambda_slope",
     "exact_solution", "critical_point", "branch_amplitudes", "bifurcation_curve",
     "solve_1d", "stability_1d",
-    "Field2D", "assemble_laplacian", "laplacian_eigs",
+    "Field2D", "TensorLaplacian", "tensor_laplacian", "laplacian_eigs",
     "guess_eigenfunction", "guess_onepoint", "solve_2d", "onepoint_lambda",
     "DecayReport", "SymmetryReport", "decay_report", "symmetry_report",
     "errors",

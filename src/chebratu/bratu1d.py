@@ -30,7 +30,14 @@ import numpy as np
 
 from .chebyshev import Grid1D, barycentric_resample, second_diff_matrix
 from .errors import InvalidArgumentError, NoSolutionError
-from .newton import NewtonConfig, NewtonTrace, linearization, make_nonlinearity, solve_semilinear
+from .newton import (
+    DenseOperator,
+    NewtonConfig,
+    NewtonTrace,
+    linearization,
+    make_nonlinearity,
+    solve_semilinear,
+)
 from .numerics import EigenResult, eig_general
 
 __all__ = [
@@ -95,13 +102,16 @@ def _check_half_width(half_width: float) -> float:
 def lambda_of_amplitude(amplitude, half_width: float = 1.0):
     """Parameter value admitting a solution of center amplitude ``A``.
 
-    Evaluates ``lam(A) = 2 arccosh(exp(A/2))**2 / (L**2 exp(A))``, the
-    closed-form inversion of the boundary condition. Accepts scalars or
-    arrays of amplitudes.
+    Evaluates ``lam(A) = 2 b**2 / (L**2 exp(A))`` with ``b = B L =
+    arccosh(exp(A/2))``, the closed-form inversion of the boundary
+    condition.  ``b`` is computed as ``2 asinh(sqrt(expm1(A/2) / 2))``
+    (from ``cosh b = 1 + 2 sinh(b/2)**2``), which does not cancel as
+    ``A -> 0``.  Accepts scalars or arrays of amplitudes.
     """
     A = _check_amplitude(amplitude)
     L = _check_half_width(half_width)
-    lam = 2.0 * np.arccosh(np.exp(A / 2.0)) ** 2 / (L**2 * np.exp(A))
+    b = 2.0 * np.arcsinh(np.sqrt(np.expm1(A / 2.0) / 2.0))
+    lam = 2.0 * b**2 / (L**2 * np.exp(A))
     return float(lam) if np.isscalar(amplitude) or np.ndim(amplitude) == 0 else lam
 
 
@@ -109,7 +119,7 @@ def lambda_slope(amplitude: float, half_width: float = 1.0) -> float:
     """Analytic derivative ``d lam / dA`` of the closed-form curve."""
     A = float(_check_amplitude(amplitude))
     L = _check_half_width(half_width)
-    g = math.acosh(math.exp(A / 2.0))
+    g = 2.0 * math.asinh(math.sqrt(math.expm1(A / 2.0) / 2.0))
     gp = math.exp(A / 2.0) / (2.0 * math.sqrt(math.expm1(A)))
     return 2.0 * math.exp(-A) / L**2 * g * (2.0 * gp - g)
 
@@ -148,10 +158,10 @@ def critical_point(half_width: float = 1.0) -> tuple[float, float]:
     """Fold ``(A*, lam*)`` of the closed-form curve.
 
     ``A*`` does not depend on the half-width and is computed once, at
-    import; ``lam* = lam(A*, L)`` scales as ``1 / L**2``.
+    import; ``lam* = 2 b*^2 / (L**2 exp(A*))`` scales as ``1 / L**2``.
     """
     L = _check_half_width(half_width)
-    return _FOLD_AMPLITUDE, lambda_of_amplitude(_FOLD_AMPLITUDE, L)
+    return _FOLD_AMPLITUDE, 2.0 * _FOLD_B**2 / (L**2 * math.exp(_FOLD_AMPLITUDE))
 
 
 def _solve_b_sech_b(s: float, lo: float, hi: float) -> float:
@@ -261,7 +271,7 @@ def solve_1d(lam: float, grid: Grid1D, guess="zero", amplitude: float = 6.0,
         raise InvalidArgumentError("lam must be finite")
     d2 = second_diff_matrix(grid).interior
     u0 = _initial_vector(grid, guess, amplitude)
-    solution, trace = solve_semilinear(d2, lam, _EXP, u0, config)
+    solution, trace = solve_semilinear(DenseOperator(d2), lam, _EXP, u0, config)
 
     values = np.zeros(grid.n + 1)
     values[1:-1] = solution

@@ -8,7 +8,9 @@ callers can inspect how far the iteration got.
 
 The 1D and 2D problems share one discrete form, ``Lap u + lam f(u) = 0``
 on the interior unknowns: :func:`solve_semilinear` solves it for any
-interior operator and any reaction term of :func:`make_nonlinearity`.
+reaction term of :func:`make_nonlinearity` and any interior operator that
+applies ``Lap`` and solves ``Lap + diag(d)``: a :class:`DenseOperator` by
+LU in 1D, the fast-diagonalized tensor Laplacian by GMRES in 2D.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
 from .numerics import lu_solve
 
 __all__ = [
+    "DenseOperator",
     "NewtonConfig",
     "NewtonTrace",
     "Nonlinearity",
@@ -69,16 +72,24 @@ class NewtonTrace:
 
     ``update_norms[k]`` is ``||d_k||_inf`` of iteration ``k``;
     ``residual_norms[k]`` is ``||F||_inf`` at the iterate produced by that
-    iteration.  Both lists have length ``iterations``.
+    iteration; ``linear_iterations[k]`` counts the inner iterations of its
+    linear solve (1 for a direct LU solve, the GMRES steps otherwise).
+    The lists have length ``iterations``.
     """
 
     update_norms: list[float] = field(default_factory=list)
     residual_norms: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    linear_iterations: list[int] = field(default_factory=list)
 
 
-def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = None):
+def _lu_step(jacobian, rhs):
+    return lu_solve(jacobian, rhs), 1
+
+
+def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = None,
+                       solve=None):
     """Solve ``F(u) = 0`` by undamped Newton iteration.
 
     Parameters
@@ -86,10 +97,15 @@ def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = Non
     residual : callable
         ``u -> F(u)``, mapping a length-m vector to a length-m vector.
     jacobian : callable
-        ``u -> J(u)``, the m-by-m derivative of ``F``.
+        ``u -> J(u)``, the derivative of ``F`` in the form ``solve`` takes:
+        by default the dense m-by-m matrix.
     u0 : array_like
         Starting vector.
     config : NewtonConfig, optional
+    solve : callable, optional
+        ``(J, b) -> (x, linear_iterations)`` solving ``J x = b``; raises
+        :class:`~chebratu.errors.SingularMatrixError` when it cannot.  The
+        default is a dense LU solve, counted as one linear iteration.
 
     Returns
     -------
@@ -105,12 +121,14 @@ def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = Non
         If an iterate or residual becomes non-finite; carries the trace.
     """
     cfg = config if config is not None else NewtonConfig()
+    solve = solve if solve is not None else _lu_step
     u = np.array(u0, dtype=float, copy=True)
     if u.ndim != 1 or u.size == 0:
         raise InvalidArgumentError("initial guess must be a nonempty vector")
 
     update_norms: list[float] = []
     residual_norms: list[float] = []
+    linear_iterations: list[int] = []
 
     def trace(converged: bool = False) -> NewtonTrace:
         return NewtonTrace(
@@ -118,6 +136,7 @@ def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = Non
             residual_norms=list(residual_norms),
             iterations=len(update_norms),
             converged=converged,
+            linear_iterations=list(linear_iterations),
         )
 
     def evaluate(fun, what: str) -> np.ndarray:
@@ -135,11 +154,12 @@ def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = Non
     for _ in range(cfg.max_iter):
         J = evaluate(jacobian, "jacobian")
         try:
-            delta = lu_solve(J, -F)
+            delta, inner = solve(J, -F)
         except SingularMatrixError as exc:
             raise SingularJacobianError(str(exc), trace()) from exc
         u = u + delta
         update_norms.append(float(np.max(np.abs(delta))))
+        linear_iterations.append(int(inner))
         if not np.all(np.isfinite(u)):
             residual_norms.append(float("inf"))
             raise DivergenceError("iterate became non-finite", trace())
@@ -228,22 +248,41 @@ def linearization(lap, lam: float, nonlinearity: Nonlinearity, u) -> np.ndarray:
     return lap + np.diag(nonlinearity.derivative(lam, u))
 
 
-def solve_semilinear(lap, lam: float, nonlinearity: Nonlinearity, u0,
-                     config: NewtonConfig | None = None):
-    """Newton-Kantorovich solution of ``lap u + lam f(u) = 0``.
+@dataclass(frozen=True)
+class DenseOperator:
+    """An interior operator held as a dense matrix, for small systems.
 
-    ``lap`` is the dense interior operator (Dirichlet conditions already
-    imposed); the residual is ``lap u + value(lam, u)`` and the Jacobian
-    its :func:`linearization`.  Returns and raises as
+    ``apply(u)`` is ``matrix @ u``; ``solve_shifted(d, b)`` solves
+    ``(matrix + diag(d)) x = b`` by LU and returns ``(x, 1)``.
+    """
+
+    matrix: np.ndarray
+
+    def apply(self, u) -> np.ndarray:
+        return self.matrix @ u
+
+    def solve_shifted(self, d, b):
+        return lu_solve(self.matrix + np.diag(d), b), 1
+
+
+def solve_semilinear(operator, lam: float, nonlinearity: Nonlinearity, u0,
+                     config: NewtonConfig | None = None):
+    """Newton-Kantorovich solution of ``Lap u + lam f(u) = 0``.
+
+    ``operator`` is the interior ``Lap`` (Dirichlet conditions already
+    imposed), with ``apply(u)`` and ``solve_shifted(d, b)`` as on
+    :class:`DenseOperator`.  The residual is ``apply(u) + value(lam, u)``;
+    the Jacobian ``Lap + diag(derivative(lam, u))`` is passed on as its
+    diagonal and solved by ``solve_shifted``.  Returns and raises as
     :func:`newton_kantorovich`.
     """
     def residual(u):
-        return lap @ u + nonlinearity.value(lam, u)
+        return operator.apply(u) + nonlinearity.value(lam, u)
 
     def jacobian(u):
-        return linearization(lap, lam, nonlinearity, u)
+        return nonlinearity.derivative(lam, u)
 
-    return newton_kantorovich(residual, jacobian, u0, config)
+    return newton_kantorovich(residual, jacobian, u0, config, solve=operator.solve_shifted)
 
 
 def convergence_order_estimate(trace: NewtonTrace) -> float:

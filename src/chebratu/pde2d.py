@@ -1,14 +1,23 @@
 """The two-dimensional problem on the square ``[-L, L]^2``.
 
 Steady states of ``Lap(u) + lam * f(u) = 0`` with homogeneous Dirichlet
-conditions, discretized by tensor-product Chebyshev collocation: the
-interior second-derivative block ``D2`` of each axis enters the discrete
-Laplacian through the Kronecker sum ``kron(I, D2) + kron(D2, I)``.
+conditions, discretized by tensor-product Chebyshev collocation: with the
+interior second-derivative block ``D2`` of each axis, the discrete
+Laplacian of the interior field ``U`` is ``D2 U + U D2^T``.  It is applied
+in that separable form and never assembled as an ``M^2 x M^2`` matrix.
 
 Unknowns are ordered with the x-index fastest: the interior field matrix
 ``U[iy, ix]`` corresponds to the vector entry ``k = iy * M + ix`` (its
-row-major flattening), which makes ``d2/dx2 = kron(I, D2)`` and
-``d2/dy2 = kron(D2, I)``.
+row-major flattening), so ``d2/dx2`` is ``U D2^T`` and ``d2/dy2`` is
+``D2 U``.
+
+Fast diagonalization (Lynch, Rice & Thomas, 1964; Haidvogel & Zang,
+1979): one eigendecomposition ``D2 = V diag(w) V^-1`` of size ``M = n - 1``
+gives the whole Dirichlet spectrum, ``-(w_i + w_j)`` with eigenvectors
+``outer(V[:, i], V[:, j])``, and solves ``(Lap + c I) U = R`` exactly as
+``U = V [(V^-1 R V^-T) / (w_i + w_j + c)] V^T``.  Newton steps solve
+``Lap + diag(lam f'(u))`` by GMRES preconditioned with that solve, ``c``
+being the mean of the diagonal.
 
 Initial guesses: the ground-state eigenfunction of the Dirichlet
 Laplacian targets the small branch; the lowest polynomial basis function
@@ -24,13 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import Grid1D, barycentric_resample, second_diff_matrix
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .newton import NewtonConfig, NewtonTrace, Nonlinearity, solve_semilinear
-from .numerics import EigenResult, eig_general
+from .numerics import EigenResult, eig_general, gmres
 
 __all__ = [
     "Field2D",
-    "assemble_laplacian",
+    "TensorLaplacian",
+    "tensor_laplacian",
     "laplacian_eigs",
     "guess_eigenfunction",
     "guess_onepoint",
@@ -83,47 +93,92 @@ class Field2D:
         )
 
 
-def assemble_laplacian(grid: Grid1D) -> np.ndarray:
-    """Kronecker-sum Laplacian ``kron(I, D2) + kron(D2, I)``.
+@dataclass(frozen=True)
+class TensorLaplacian:
+    """The 2D Dirichlet Laplacian on the interior grid, matrix-free.
 
-    The discrete Dirichlet Laplacian on the interior tensor grid: dense
-    ``M^2 x M^2`` with ``M = n - 1`` interior points per axis, acting on
-    vectors ordered x-fastest (``k = iy * M + ix``).
+    ``d2`` is the ``M x M`` interior second-derivative block and
+    ``D2 = vectors diag(values) inverse`` its eigendecomposition, with
+    ``values`` descending (the ground state first) and the columns of
+    ``vectors`` of unit sup-norm.  Methods take and return interior
+    vectors of length ``M^2``, ordered x-fastest.
+    """
+
+    d2: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    inverse: np.ndarray
+
+    def apply(self, u) -> np.ndarray:
+        """``Lap u``, as ``D2 U + U D2^T``."""
+        U = np.reshape(u, self.d2.shape)
+        return (self.d2 @ U + U @ self.d2.T).reshape(-1)
+
+    def shifted_inverse(self, c: float, r) -> np.ndarray:
+        """``(Lap + c I)^-1 r`` by fast diagonalization."""
+        hat = self.inverse @ np.reshape(r, self.d2.shape) @ self.inverse.T
+        hat /= self.values[:, None] + self.values[None, :] + c
+        return (self.vectors @ hat @ self.vectors.T).reshape(-1)
+
+    def solve_shifted(self, d, b):
+        """Solve ``(Lap + diag(d)) x = b`` by GMRES, preconditioned with
+        ``(Lap + mean(d) I)^-1``; returns ``(x, gmres_iterations)``."""
+        c = float(np.mean(d))
+        return gmres(lambda x: self.apply(x) + d * x, b,
+                     lambda r: self.shifted_inverse(c, r))
+
+
+def tensor_laplacian(grid: Grid1D) -> TensorLaplacian:
+    """The fast-diagonalized 2D Laplacian of ``grid``.
+
+    Raises
+    ------
+    NumericalFailureError
+        If the computed spectrum of ``D2`` is not real (it is real and
+        negative for Chebyshev collocation).
     """
     if grid.n < 3:
-        raise InvalidArgumentError("2D assembly needs grid order >= 3")
+        raise InvalidArgumentError("2D Laplacian needs grid order >= 3")
     d2 = second_diff_matrix(grid).interior
-    eye = np.eye(grid.n - 1)
-    return np.kron(eye, d2) + np.kron(d2, eye)
+    eig = eig_general(d2)
+    if np.max(np.abs(eig.values.imag)) > 1e-10 * np.max(np.abs(eig.values.real)):
+        raise NumericalFailureError("second-derivative spectrum is unexpectedly complex")
+    vectors = eig.vectors.real[:, ::-1]
+    return TensorLaplacian(d2=d2, values=eig.values.real[::-1], vectors=vectors,
+                           inverse=np.linalg.inv(vectors))
 
 
 def laplacian_eigs(grid: Grid1D, k: int) -> EigenResult:
-    """First ``k`` eigenpairs of ``-Lap``, sorted ascending."""
-    lap = assemble_laplacian(grid)
-    m2 = lap.shape[0]
-    if not 1 <= k <= m2:
-        raise InvalidArgumentError(f"eigenpair count must be in [1, {m2}], got {k}")
-    full = eig_general(-lap, want_vectors=True)
-    return EigenResult(values=full.values[:k], vectors=full.vectors[:, :k])
+    """First ``k`` eigenpairs of ``-Lap``, sorted ascending.
+
+    Eigenvalue ``-(w_i + w_j)`` pairs with the field ``outer(V[:, i],
+    V[:, j])`` (``i`` along y), flattened x-fastest and signed so that its
+    first significant entry is positive; ties keep ``(i, j)`` order.
+    """
+    m = grid.n - 1
+    if not 1 <= k <= m * m:
+        raise InvalidArgumentError(f"eigenpair count must be in [1, {m * m}], got {k}")
+    lap = tensor_laplacian(grid)
+    sums = -(lap.values[:, None] + lap.values[None, :]).reshape(-1)
+    order = np.argsort(sums, kind="stable")[:k]
+    iy, ix = np.divmod(order, m)
+    vectors = np.einsum("ak,bk->abk", lap.vectors[:, iy], lap.vectors[:, ix]).reshape(m * m, k)
+    lead = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+    vectors *= np.sign(vectors[lead, np.arange(k)])
+    return EigenResult(values=sums[order].astype(complex), vectors=vectors)
 
 
 def guess_eigenfunction(grid: Grid1D, amplitude: float = 0.1) -> Field2D:
     """Ground state of the Dirichlet Laplacian, scaled to ``amplitude``.
 
-    The first eigenvector is sign-normalized positive in the interior and
-    rescaled so its maximum equals ``amplitude`` exactly.
+    ``outer(v0, v0)`` for the ground state ``v0`` of ``D2``, positive in
+    the interior and rescaled so its maximum equals ``amplitude`` exactly.
     """
     if not np.isfinite(amplitude) or amplitude <= 0.0:
         raise InvalidArgumentError("guess amplitude must be positive")
-    eig = laplacian_eigs(grid, 1)
-    vec = eig.vectors[:, 0]
-    v = np.real(vec)
-    if np.max(np.abs(np.imag(vec))) > 1e-10 * np.max(np.abs(v)):
-        raise InvalidArgumentError("ground state is unexpectedly complex")
-    if v[np.argmax(np.abs(v))] < 0.0:
-        v = -v
-    v = v * (amplitude / v.max())
-    return Field2D.from_vector(grid, v)
+    v0 = tensor_laplacian(grid).vectors[:, 0]
+    ground = np.outer(v0, v0)
+    return Field2D(grid=grid, interior=ground * (amplitude / ground.max()))
 
 
 def guess_onepoint(grid: Grid1D, amplitude: float) -> Field2D:
@@ -154,14 +209,16 @@ def solve_2d(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, guess: Field2
              config: NewtonConfig | None = None) -> Field2D:
     """Newton-Kantorovich solution of ``Lap(u) + lam f(u) = 0``.
 
-    :func:`~chebratu.newton.solve_semilinear` on the Kronecker-sum
-    Laplacian.  For ``lam`` beyond the fold of the diagram the iteration
-    fails and the Newton error propagates with its trace.
+    :func:`~chebratu.newton.solve_semilinear` on the
+    :func:`tensor_laplacian`, each Newton step a preconditioned GMRES
+    solve.  For ``lam`` beyond the fold of the diagram the iteration fails
+    (a GMRES solve that stalls reports a singular Jacobian) and the Newton
+    error propagates with its trace.
     """
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidArgumentError(f"lam must be nonnegative, got {lam!r}")
     if guess.grid.n != grid.n or guess.grid.half_width != grid.half_width:
         raise InvalidArgumentError("guess and solve grids differ")
-    lap = assemble_laplacian(grid)
-    solution, trace = solve_semilinear(lap, lam, nonlinearity, guess.as_vector(), config)
+    solution, trace = solve_semilinear(tensor_laplacian(grid), lam, nonlinearity,
+                                       guess.as_vector(), config)
     return Field2D.from_vector(grid, solution, lam=float(lam), trace=trace)

@@ -87,29 +87,66 @@ def cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
     return d, x
 
 
+def kron_laplacian(n: int, half_width: float = 1.0) -> np.ndarray:
+    """Dense Dirichlet Laplacian ``kron(I, D2) + kron(D2, I)`` of the order-``n``
+    tensor grid on ``[-L, L]^2``, acting on interior vectors ordered
+    x-fastest; ``D2`` is the interior block of :func:`cheb` squared."""
+    d, _ = cheb(n)
+    d2 = (d @ d)[1:-1, 1:-1] / half_width**2
+    eye = np.eye(n - 1)
+    return np.kron(eye, d2) + np.kron(d2, eye)
+
+
+def _reaction(name: str, epsilon: float | None):
+    """``(f, f')`` of the named reaction term."""
+    if name == "gelfand":
+        return (lambda u: np.exp(u / (1.0 + epsilon * u)),
+                lambda u: np.exp(u / (1.0 + epsilon * u)) / (1.0 + epsilon * u) ** 2)
+    return {"exp": (np.exp, np.exp), "cosh": (np.cosh, np.sinh), "sinh": (np.sinh, np.cosh)}[name]
+
+
 @lru_cache(maxsize=None)
+def _ground_state(n: int) -> np.ndarray:
+    """Eigenvector of the smallest eigenvalue of ``-kron_laplacian(n)``,
+    from a dense nonsymmetric ``numpy.linalg.eig``, scaled to maximum 1."""
+    values, vectors = np.linalg.eig(-kron_laplacian(n))
+    v = np.real(vectors[:, np.argmin(values.real)])
+    v = v if v[np.argmax(np.abs(v))] > 0.0 else -v
+    return v / v.max()
+
+
+@lru_cache(maxsize=None)
+def collocation_newton_2d(lam: float, n: int, name: str = "exp", epsilon: float | None = None,
+                          amplitude: float | None = None) -> tuple[np.ndarray, int]:
+    """Interior solution ``U[iy, ix]`` and Newton iteration count of the
+    order-``n`` collocation system ``Lap u + lam f(u) = 0`` on ``[-1, 1]^2``.
+
+    ``Lap`` is :func:`kron_laplacian`.  Undamped Newton with dense solves
+    starts from ``amplitude (1 - x^2)(1 - y^2)``, or, with no amplitude,
+    from the :func:`_ground_state` scaled to maximum 0.1, and stops when the
+    update is below 1e-12 or the residual below 1e-10.
+    """
+    lap = kron_laplacian(n)
+    f, df = _reaction(name, epsilon)
+    if amplitude is None:
+        u = 0.1 * _ground_state(n)
+    else:
+        factor = 1.0 - cheb(n)[1][1:-1] ** 2
+        u = amplitude * np.outer(factor, factor).reshape(-1)
+    for iteration in range(1, 26):
+        step = np.linalg.solve(lap + np.diag(lam * df(u)), -(lap @ u + lam * f(u)))
+        u = u + step
+        residual = np.max(np.abs(lap @ u + lam * f(u)))
+        if np.max(np.abs(step)) <= 1e-12 or residual <= 1e-10:
+            return u.reshape(n - 1, n - 1), iteration
+    raise RuntimeError(f"collocation Newton did not converge at n = {n}")
+
+
 def collocation_umax(lam: float, n: int, amplitude: float) -> float:
     """``u_max`` of the order-``n`` collocation solution of
-    ``Lap u + lam e^u = 0`` on ``[-1, 1]^2``.
-
-    The interior ``D^2`` of :func:`cheb` enters a Kronecker sum; undamped
-    Newton with dense solves starts from ``A (1 - x^2)(1 - y^2)`` and stops
-    when the update is below 1e-12 or the residual below 1e-10.
-    """
-    d, x = cheb(n)
-    d2 = (d @ d)[1:-1, 1:-1]
-    eye = np.eye(n - 1)
-    lap = np.kron(eye, d2) + np.kron(d2, eye)
-    factor = 1.0 - x[1:-1] ** 2
-    u = amplitude * np.outer(factor, factor).reshape(-1)
-    for _ in range(25):
-        source = lam * np.exp(u)
-        step = np.linalg.solve(lap + np.diag(source), -(lap @ u + source))
-        u += step
-        residual = np.max(np.abs(lap @ u + lam * np.exp(u)))
-        if np.max(np.abs(step)) <= 1e-12 or residual <= 1e-10:
-            return float(u.max())
-    raise RuntimeError(f"collocation Newton did not converge at n = {n}")
+    ``Lap u + lam e^u = 0`` on ``[-1, 1]^2`` from ``A (1 - x^2)(1 - y^2)``
+    (:func:`collocation_newton_2d`)."""
+    return float(collocation_newton_2d(lam, n, "exp", None, amplitude)[0].max())
 
 
 def dct1_direct(values, axis: int = 0) -> np.ndarray:

@@ -35,7 +35,6 @@ from functools import lru_cache
 import numpy as np
 
 from chebratu import (
-    assemble_laplacian,
     branch_amplitudes,
     cheb_points,
     cheb_transform,
@@ -54,8 +53,15 @@ from chebratu import (
     solve_2d,
     stability_1d,
     symmetry_report,
+    tensor_laplacian,
 )
-from oracles import collocation_umax, fd_center_richardson, fold_1d, lambda_slope_1d
+from oracles import (
+    collocation_umax,
+    fd_center_richardson,
+    fold_1d,
+    kron_laplacian,
+    lambda_slope_1d,
+)
 
 # reference values from earlier reports; the fold amplitude and the two
 # u_max values are irreproducible and are checked only for their mismatch
@@ -342,7 +348,7 @@ def test_criterion_12_property_suites():
     ok = True
     grid = cheb_points(12, 1.0)
     d2 = second_diff_matrix(grid).interior
-    lap = assemble_laplacian(cheb_points(8, 1.0))
+    lap = kron_laplacian(8)
     nls = [make_nonlinearity(n, e) for n, e in
            (("exp", None), ("gelfand", 1e-2), ("cosh", None), ("sinh", None))]
     h = 1e-6
@@ -367,12 +373,11 @@ def test_criterion_12_property_suites():
     ok = True
     for _ in range(100):
         n = int(rng.integers(4, 13))
-        g = cheb_points(n, float(rng.choice([0.5, 1.0, 2.0])))
-        block = second_diff_matrix(g).interior
-        op = assemble_laplacian(g)
+        half_width = float(rng.choice([0.5, 1.0, 2.0]))
+        op = kron_laplacian(n, half_width)
         u = rng.uniform(-1.0, 1.0, (n - 1, n - 1))
         lhs = op @ u.reshape(-1)
-        rhs = (u @ block.T + block @ u).reshape(-1)
+        rhs = tensor_laplacian(cheb_points(n, half_width)).apply(u.reshape(-1))
         ok &= bool(np.max(np.abs(lhs - rhs)) <= 1e-11 * (np.max(np.abs(op)) + 1.0))
     checks.append(("Kronecker ordering identity (100 cases)", ok))
 

@@ -48,6 +48,18 @@ def test_curve_small_amplitude_limit():
     assert vals[-1] < 1e-7
 
 
+def test_curve_is_accurate_at_tiny_amplitude():
+    # lam(A) = 2 A + O(A^2): arccosh(exp(A/2)) would cancel here
+    assert abs(lambda_of_amplitude(1e-30) - 2e-30) <= 4e-46
+    assert abs(lambda_slope(1e-12) - 2.0) < 1e-10
+
+
+def test_small_amplitude_round_trip():
+    for lam in np.logspace(-300, -3, 298):
+        a_small = branch_amplitudes(float(lam))[0]
+        assert abs(lambda_of_amplitude(a_small) - lam) <= 1e-14 * lam
+
+
 def test_curve_at_quoted_fold_amplitude():
     # the curve value at the older reported fold amplitude agrees with the
     # commonly quoted lam* only to ~8e-8; pin both facts

@@ -1,6 +1,10 @@
 """Command-line interface: schemas, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -225,3 +229,16 @@ def test_custom_tolerances(tmp_path):
     doc = _run_json(["solve-1d", "--lambda", "0.25", "--tol", "1e-4",
                      "--max-iter", "12"], tmp_path)
     assert doc["newton"]["iterations"] <= 3
+
+
+def test_cli_import_loads_no_sparse_or_optimize_scipy():
+    # scipy.sparse.linalg and scipy.optimize cost tens of milliseconds and
+    # megabytes at start-up, and every CLI request pays for its imports
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, chebratu.cli; "
+            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

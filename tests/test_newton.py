@@ -30,6 +30,8 @@ def test_scalar_quadratic():
     )
     assert abs(sol[0] - 2.0) < 1e-10
     assert trace.converged
+    # a dense LU solve counts as one linear iteration per Newton step
+    assert trace.linear_iterations == [1] * trace.iterations
     assert convergence_order_estimate(trace) > 1.8
 
 

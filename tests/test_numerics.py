@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from chebratu import eig_general, lu_solve
+from chebratu import eig_general, gmres, lu_solve
 from chebratu.errors import InvalidArgumentError, SingularMatrixError
+from chebratu.numerics import _GMRES_MAXITER, _GMRES_RTOL
 
 
 def _well_conditioned(rng, m):
@@ -51,6 +52,41 @@ def test_lu_residual_property():
         norm_a = np.max(np.sum(np.abs(a), axis=1))
         norm_x = max(np.max(np.abs(x)), 1e-300)
         assert np.max(np.abs(a @ x - b)) <= 1e-10 * norm_a * norm_x
+
+
+def test_gmres_solves_nonsymmetric_system():
+    rng = np.random.default_rng(13)
+    for m in (5, 60, 150):
+        a = _well_conditioned(rng, m)
+        b = rng.uniform(-1.0, 1.0, m)
+        jacobi = 1.0 / np.diag(a)
+        x, iterations = gmres(lambda v: a @ v, b, lambda v: jacobi * v)
+        assert 1 <= iterations <= _GMRES_MAXITER
+        assert np.linalg.norm(a @ x - b) <= 10.0 * _GMRES_RTOL * np.linalg.norm(b)
+        assert np.max(np.abs(x - np.linalg.solve(a, b))) <= 1e-11 * np.max(np.abs(x))
+
+
+def test_gmres_zero_right_hand_side():
+    a = _well_conditioned(np.random.default_rng(17), 8)
+    x, iterations = gmres(lambda v: a @ v, np.zeros(8), lambda v: v)
+    assert iterations == 0
+    assert np.array_equal(x, np.zeros(8))
+
+
+def test_gmres_rank_deficient_raises():
+    rng = np.random.default_rng(19)
+    for m, rank in ((6, 3), (300, 299)):
+        a = rng.uniform(-1.0, 1.0, (m, rank)) @ rng.uniform(-1.0, 1.0, (rank, m))
+        calls = []
+
+        def apply(v):
+            calls.append(1)
+            return a @ v
+
+        with pytest.raises(SingularMatrixError):
+            gmres(apply, rng.uniform(-1.0, 1.0, m), lambda v: v)
+        # one product per Arnoldi step, one residual per restart cycle
+        assert len(calls) <= 2 * _GMRES_MAXITER
 
 
 def test_eig_diagonal():

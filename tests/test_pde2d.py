@@ -1,4 +1,4 @@
-"""Kronecker Laplacian, linear eigenproblem, 2D solves and nonlinearities."""
+"""Matrix-free Laplacian, linear eigenproblem, 2D solves and nonlinearities."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from chebratu import (
     Field2D,
-    assemble_laplacian,
     barycentric_resample,
     cheb_points,
     guess_eigenfunction,
@@ -15,15 +14,16 @@ from chebratu import (
     laplacian_eigs,
     make_nonlinearity,
     onepoint_lambda,
-    second_diff_matrix,
     solve_2d,
+    tensor_laplacian,
 )
 from chebratu.errors import (
     InvalidArgumentError,
     NewtonError,
     SingularNonlinearityError,
 )
-from oracles import fd_center_richardson
+from chebratu.numerics import _GMRES_MAXITER
+from oracles import collocation_newton_2d, fd_center_richardson, kron_laplacian
 
 # collocation values for lam = 0.5 on [-1,1]^2; the small-branch centre is
 # also checked against Richardson-extrapolated finite differences computed
@@ -58,17 +58,22 @@ def big16(grid16, exp_nl):
 # ---------------------------------------------------------------------------
 
 
+def _operator_matrix(op, m):
+    """Columns ``op.apply(e_k)``: exact, since each unit field picks single
+    entries of ``D2``."""
+    return np.stack([op.apply(e) for e in np.eye(m * m)], axis=1)
+
+
 def test_kronecker_identity_property():
-    """matrix @ vec(U) == vec(U D2^T + D2 U) under x-fastest ordering."""
+    """Oracle Kronecker matrix @ vec(U) == matrix-free apply, x-fastest."""
     rng = np.random.default_rng(41)
     for _ in range(100):
         n = int(rng.integers(4, 13))
-        grid = cheb_points(n, float(rng.choice([0.5, 1.0, 2.0])))
-        d2 = second_diff_matrix(grid).interior
-        lap = assemble_laplacian(grid)
+        half_width = float(rng.choice([0.5, 1.0, 2.0]))
+        lap = kron_laplacian(n, half_width)
         u = rng.uniform(-1.0, 1.0, (n - 1, n - 1))
         lhs = lap @ u.reshape(-1)
-        rhs = (u @ d2.T + d2 @ u).reshape(-1)
+        rhs = tensor_laplacian(cheb_points(n, half_width)).apply(u.reshape(-1))
         scale = np.max(np.abs(rhs)) + np.max(np.abs(lap))
         assert np.max(np.abs(lhs - rhs)) < 1e-11 * scale
 
@@ -80,26 +85,37 @@ def test_laplacian_biquadratic_exact():
         X, Y = np.meshgrid(xi, xi)
         u = (1.0 - X**2) * (1.0 - Y**2)
         expect = -2.0 * (1.0 - Y**2) - 2.0 * (1.0 - X**2)
-        out = assemble_laplacian(grid) @ u.reshape(-1)
+        out = tensor_laplacian(grid).apply(u.reshape(-1))
         assert np.max(np.abs(out - expect.reshape(-1))) < 1e-11
 
 
 def test_laplacian_on_trimmed_constant_is_not_zero(grid16):
     # the Dirichlet restriction sees the implied zero boundary ring
-    out = assemble_laplacian(grid16) @ np.ones(15 * 15)
+    out = tensor_laplacian(grid16).apply(np.ones(15 * 15))
     assert np.max(np.abs(out)) > 1.0
 
 
 def test_laplacian_axis_swap_invariance(grid16):
     m = 15
-    op = assemble_laplacian(grid16)
+    op = _operator_matrix(tensor_laplacian(grid16), m)
     perm = np.arange(m * m).reshape(m, m).T.reshape(-1)
     assert np.array_equal(op[np.ix_(perm, perm)], op)
 
 
-def test_assemble_validation():
+def test_laplacian_validation():
     with pytest.raises(InvalidArgumentError):
-        assemble_laplacian(cheb_points(2, 1.0))
+        tensor_laplacian(cheb_points(2, 1.0))
+
+
+def test_fast_diagonalization_shifted_inverse(grid16):
+    """(Lap + c I)^-1 by fast diagonalization inverts the oracle matrix."""
+    rng = np.random.default_rng(43)
+    op = tensor_laplacian(grid16)
+    lap = kron_laplacian(16)
+    for c in (0.0, 0.7, 40.0):
+        r = rng.uniform(-1.0, 1.0, 15 * 15)
+        x = op.shifted_inverse(c, r)
+        assert np.max(np.abs(lap @ x + c * x - r)) < 1e-11 * np.max(np.abs(lap))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +142,28 @@ def test_eigenvalue_multiplicity_pairs():
     vals = res.values.real
     for i, j in ((1, 2), (4, 5), (6, 7), (8, 9)):
         assert abs(vals[i] - vals[j]) < 1e-8
+
+
+def test_eigenvalues_match_dense_kronecker_spectrum():
+    for n in (4, 5, 8, 11, 16):
+        for half_width in (1.0, np.pi / 2.0):
+            m2 = (n - 1) ** 2
+            res = laplacian_eigs(cheb_points(n, half_width), m2)
+            dense = np.sort(np.linalg.eigvals(-kron_laplacian(n, half_width)).real)
+            assert np.max(np.abs(res.values.real - dense) / np.abs(dense)) < 1e-10
+            assert np.max(np.abs(res.values.imag)) == 0.0
+
+
+def test_eigenvectors_are_eigenpairs():
+    n = 12
+    grid = cheb_points(n, 1.0)
+    res = laplacian_eigs(grid, 10)
+    op = tensor_laplacian(grid)
+    for k in range(10):
+        v = res.vectors[:, k]
+        assert abs(np.max(np.abs(v)) - 1.0) < 1e-13
+        assert v[np.argmax(np.abs(v) > 1e-12)] > 0.0
+        assert np.max(np.abs(op.apply(v) + res.values[k].real * v)) < 1e-9 * res.values[k].real
 
 
 def test_eig_count_validation(grid16):
@@ -198,6 +236,28 @@ def test_big_solution_value_and_effort(big16):
     assert big16.trace.iterations <= 10
 
 
+@pytest.mark.parametrize("n", [12, 13, 16, 24, 32])
+@pytest.mark.parametrize("name", ["exp", "gelfand", "cosh", "sinh"])
+def test_solve_matches_dense_reference(n, name):
+    """Matrix-free Newton-GMRES reproduces dense-LU Newton from the dense
+    ground state: every interior value and the iteration count."""
+    eps = 0.1 if name == "gelfand" else None
+    ref, iterations = collocation_newton_2d(0.5, n, name, eps)
+    grid = cheb_points(n, 1.0)
+    sol = solve_2d(0.5, make_nonlinearity(name, eps), grid, guess_eigenfunction(grid, 0.1))
+    assert np.max(np.abs(sol.interior - ref)) <= 1e-10
+    assert sol.trace.iterations == iterations
+
+
+def test_big_solve_matches_dense_reference(big16):
+    ref, iterations = collocation_newton_2d(0.5, 16, "exp", None, 6.0)
+    assert np.max(np.abs(big16.interior - ref)) <= 1e-10
+    assert big16.trace.iterations == iterations
+    linear = big16.trace.linear_iterations
+    assert len(linear) == big16.trace.iterations
+    assert all(1 <= k <= _GMRES_MAXITER for k in linear)
+
+
 def test_small_big_ordering(small16, big16):
     assert small16.u_max < big16.u_max
     assert small16.trace.iterations < big16.trace.iterations
@@ -266,7 +326,7 @@ def _cross_grid_residual(sol, n_extra=6):
     # embed() is [iy, ix]; resampling both axes at the same targets keeps
     # that orientation, so the row-major flatten matches the operator
     vals = barycentric_resample(sol.grid, sol.embed(), interior, interior)
-    lap = assemble_laplacian(fine)
+    lap = kron_laplacian(fine.n, fine.half_width)
     vec = vals.reshape(-1)
     resid = lap @ vec + sol.lam * np.exp(vec)
     return np.max(np.abs(resid)), np.abs(resid).reshape(len(interior), len(interior))
