@@ -19,14 +19,15 @@ from .newton import (
     NewtonConfig,
     NewtonTrace,
     Nonlinearity,
+    Solution,
     convergence_order_estimate,
+    initial_guess,
     make_nonlinearity,
     newton_kantorovich,
     solve_semilinear,
 )
 from .bratu1d import (
     BifurcationCurve,
-    Solution1D,
     bifurcation_curve,
     branch_amplitudes,
     critical_point,
@@ -37,10 +38,7 @@ from .bratu1d import (
     stability_1d,
 )
 from .pde2d import (
-    Field2D,
     TensorLaplacian,
-    guess_eigenfunction,
-    guess_onepoint,
     laplacian_eigs,
     onepoint_lambda,
     solve_2d,
@@ -62,12 +60,12 @@ __all__ = [
     "barycentric_resample",
     "EigenResult", "lu_solve", "gmres", "eig_general",
     "NewtonConfig", "NewtonTrace", "newton_kantorovich", "convergence_order_estimate",
-    "Nonlinearity", "make_nonlinearity", "DenseOperator", "solve_semilinear",
-    "BifurcationCurve", "Solution1D", "lambda_of_amplitude", "lambda_slope",
+    "Nonlinearity", "make_nonlinearity", "DenseOperator", "Solution", "initial_guess",
+    "solve_semilinear",
+    "BifurcationCurve", "lambda_of_amplitude", "lambda_slope",
     "exact_solution", "critical_point", "branch_amplitudes", "bifurcation_curve",
     "solve_1d", "stability_1d",
-    "Field2D", "TensorLaplacian", "tensor_laplacian", "laplacian_eigs",
-    "guess_eigenfunction", "guess_onepoint", "solve_2d", "onepoint_lambda",
+    "TensorLaplacian", "tensor_laplacian", "laplacian_eigs", "solve_2d", "onepoint_lambda",
     "DecayReport", "SymmetryReport", "decay_report", "symmetry_report",
     "errors",
 ]

@@ -11,14 +11,20 @@ and the boundary condition ties the amplitude to the parameter through
 
     lam(A) = 2 * arccosh(exp(A/2))**2 / (L**2 * exp(A)).
 
+``b = B L = arccosh(exp(A/2))`` is evaluated as ``2 asinh(sqrt(expm1(A/2)
+/ 2))`` (from ``cosh b = 1 + 2 sinh(b/2)**2``), which does not cancel as
+``A -> 0``.
+
 In ``b = B L`` the curve reads ``A = 2 ln cosh b``, ``lam L**2 =
 2 (b sech b)**2``: ``A`` rises with ``b`` while ``lam`` rises to a fold
 (the Frank-Kamenetskii critical value ``lam*``) at ``b* tanh b* = 1`` and
 decays again, so below the fold every ``lam`` admits a small and a big
 solution, with amplitudes on either side of ``A*``.  This module provides
 the closed-form curve and its fold, amplitude lookups on both branches,
-collocation solutions of the discrete problem, and the linearized-stability
-verdict.
+collocation solutions of the discrete problem (the dense-operator case of
+the shared :func:`~chebratu.newton.solve_semilinear`, from the shared
+:func:`~chebratu.newton.initial_guess`, as a
+:class:`~chebratu.newton.Solution`), and the linearized-stability verdict.
 """
 
 from __future__ import annotations
@@ -28,13 +34,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chebyshev import Grid1D, barycentric_resample, second_diff_matrix
+from .chebyshev import Grid1D, second_diff_matrix
 from .errors import InvalidArgumentError, NoSolutionError
 from .newton import (
     DenseOperator,
     NewtonConfig,
-    NewtonTrace,
-    linearization,
+    Solution,
+    initial_guess,
     make_nonlinearity,
     solve_semilinear,
 )
@@ -42,7 +48,6 @@ from .numerics import EigenResult, eig_general
 
 __all__ = [
     "BifurcationCurve",
-    "Solution1D",
     "lambda_of_amplitude",
     "lambda_slope",
     "exact_solution",
@@ -67,25 +72,6 @@ class BifurcationCurve:
     fold: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class Solution1D:
-    """A converged collocation solution of the 1D problem.
-
-    ``values`` covers all ``n + 1`` grid points with exact zeros at the
-    boundary entries; ``branch`` is "small", "big" or "unknown".
-    """
-
-    grid: Grid1D
-    values: np.ndarray
-    lam: float
-    branch: str
-    trace: NewtonTrace
-
-    def center_value(self) -> float:
-        """Interpolated ``u(0)``."""
-        return float(barycentric_resample(self.grid, self.values, [0.0])[0])
-
-
 def _check_amplitude(amplitude) -> np.ndarray:
     A = np.asarray(amplitude, dtype=float)
     if np.any(A <= 0.0) or not np.all(np.isfinite(A)):
@@ -99,18 +85,21 @@ def _check_half_width(half_width: float) -> float:
     return float(half_width)
 
 
+def _b_of_amplitude(A):
+    """``b = B L = arccosh(exp(A/2))``, without cancellation as ``A -> 0``."""
+    return 2.0 * np.arcsinh(np.sqrt(np.expm1(A / 2.0) / 2.0))
+
+
 def lambda_of_amplitude(amplitude, half_width: float = 1.0):
     """Parameter value admitting a solution of center amplitude ``A``.
 
     Evaluates ``lam(A) = 2 b**2 / (L**2 exp(A))`` with ``b = B L =
     arccosh(exp(A/2))``, the closed-form inversion of the boundary
-    condition.  ``b`` is computed as ``2 asinh(sqrt(expm1(A/2) / 2))``
-    (from ``cosh b = 1 + 2 sinh(b/2)**2``), which does not cancel as
-    ``A -> 0``.  Accepts scalars or arrays of amplitudes.
+    condition.  Accepts scalars or arrays of amplitudes.
     """
     A = _check_amplitude(amplitude)
     L = _check_half_width(half_width)
-    b = 2.0 * np.arcsinh(np.sqrt(np.expm1(A / 2.0) / 2.0))
+    b = _b_of_amplitude(A)
     lam = 2.0 * b**2 / (L**2 * np.exp(A))
     return float(lam) if np.isscalar(amplitude) or np.ndim(amplitude) == 0 else lam
 
@@ -119,7 +108,7 @@ def lambda_slope(amplitude: float, half_width: float = 1.0) -> float:
     """Analytic derivative ``d lam / dA`` of the closed-form curve."""
     A = float(_check_amplitude(amplitude))
     L = _check_half_width(half_width)
-    g = 2.0 * math.asinh(math.sqrt(math.expm1(A / 2.0) / 2.0))
+    g = float(_b_of_amplitude(A))
     gp = math.exp(A / 2.0) / (2.0 * math.sqrt(math.expm1(A)))
     return 2.0 * math.exp(-A) / L**2 * g * (2.0 * gp - g)
 
@@ -132,10 +121,13 @@ def exact_solution(amplitude: float, half_width: float, x) -> np.ndarray:
     """
     A = float(_check_amplitude(amplitude))
     L = _check_half_width(half_width)
-    B = math.acosh(math.exp(A / 2.0)) / L
+    B = _b_of_amplitude(A) / L
     z = np.abs(B * np.asarray(x, dtype=float))
-    # log cosh(z) = z + log1p(exp(-2z)) - log 2, overflow-free
-    return A - 2.0 * (z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0))
+    # log cosh z = log1p(2 sinh(z/2)**2), which does not cancel for small z;
+    # above z = 1, z + log1p(exp(-2z)) - log 2, which does not overflow
+    small = np.log1p(2.0 * np.sinh(np.minimum(z, 1.0) / 2.0) ** 2)
+    large = z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)
+    return A - 2.0 * np.where(z < 1.0, small, large)
 
 
 def _fold_parameter() -> float:
@@ -229,36 +221,17 @@ def bifurcation_curve(half_width: float = 1.0, samples: int = 400) -> Bifurcatio
     )
 
 
-def _initial_vector(grid: Grid1D, guess, amplitude: float) -> np.ndarray:
-    interior = grid.points[1:-1]
-    if isinstance(guess, str):
-        if guess == "zero":
-            return np.zeros(grid.n - 1)
-        if guess == "onepoint":
-            return amplitude * (1.0 - (interior / grid.half_width) ** 2)
-        raise InvalidArgumentError(f"unknown guess {guess!r}")
-    vec = np.asarray(guess, dtype=float)
-    if vec.shape == (grid.n + 1,):
-        return vec[1:-1].copy()
-    if vec.shape == (grid.n - 1,):
-        return vec.copy()
-    raise InvalidArgumentError(
-        f"custom guess must have {grid.n + 1} (full) or {grid.n - 1} (interior) "
-        f"entries, got shape {vec.shape}"
-    )
-
-
 _EXP = make_nonlinearity("exp")
 
 
-def solve_1d(lam: float, grid: Grid1D, guess="zero", amplitude: float = 6.0,
-             config: NewtonConfig | None = None) -> Solution1D:
+def solve_1d(lam: float, grid: Grid1D, guess="zero", amplitude: float | None = None,
+             config: NewtonConfig | None = None) -> Solution:
     """Newton-Kantorovich solution of the collocation system.
 
     The interior system ``D2 u + lam exp(u) = 0`` goes to
-    :func:`~chebratu.newton.solve_semilinear`; ``guess`` is ``"zero"``,
-    ``"onepoint"`` (``amplitude * (1 - (x/L)**2)``, the lowest Galerkin
-    basis function) or a custom vector.  For ``0 < lam < lam*`` the result
+    :func:`~chebratu.newton.solve_semilinear`; ``guess`` and ``amplitude``
+    are as for :func:`~chebratu.newton.initial_guess` (``"zero"``,
+    ``"onepoint"`` or a custom vector).  For ``0 < lam < lam*`` the result
     is labeled "small" when its interpolated center value lies below the
     fold amplitude ``A*``, else "big"; otherwise "unknown".
 
@@ -269,33 +242,31 @@ def solve_1d(lam: float, grid: Grid1D, guess="zero", amplitude: float = 6.0,
         raise InvalidArgumentError("1D solves need grid order >= 4")
     if not np.isfinite(lam):
         raise InvalidArgumentError("lam must be finite")
-    d2 = second_diff_matrix(grid).interior
-    u0 = _initial_vector(grid, guess, amplitude)
-    solution, trace = solve_semilinear(DenseOperator(d2), lam, _EXP, u0, config)
+    operator = DenseOperator(second_diff_matrix(grid).interior)
+    u0 = initial_guess(grid, 1, guess, amplitude)
+    u, trace = solve_semilinear(operator, lam, _EXP, u0, config)
 
-    values = np.zeros(grid.n + 1)
-    values[1:-1] = solution
-    sol = Solution1D(grid=grid, values=values, lam=float(lam), branch="unknown",
-                     trace=trace)
+    sol = Solution(grid=grid, values=np.pad(u, 1), lam=float(lam), branch="unknown",
+                   trace=trace)
     a_star, lam_star = critical_point(grid.half_width)
     if 0.0 < lam < lam_star:
         sol = replace(sol, branch="small" if sol.center_value() < a_star else "big")
     return sol
 
 
-def stability_1d(sol: Solution1D) -> tuple[bool, float, EigenResult]:
-    """Linear stability of a converged solution.
+def stability_1d(sol: Solution) -> tuple[bool, float, EigenResult]:
+    """Linear stability of a converged 1D solution.
 
-    Forms ``M = -(D2 + lam diag(exp(u)))``, the negated
-    :func:`~chebratu.newton.linearization` on the interior points, and
-    returns ``(stable, mu_min, spectrum)`` where ``mu_min`` is the
+    Forms ``M = -(D2 + lam diag(exp(u)))`` on the interior points, the
+    negated Newton Jacobian :meth:`~chebratu.newton.DenseOperator.shifted`,
+    and returns ``(stable, mu_min, spectrum)`` where ``mu_min`` is the
     smallest real part of the spectrum and the solution is stable iff
     ``mu_min > 0``.
     """
     if not sol.trace.converged:
         raise InvalidArgumentError("stability verdict requires a converged solution")
-    d2 = second_diff_matrix(sol.grid).interior
-    m = -linearization(d2, sol.lam, _EXP, sol.values[1:-1])
+    operator = DenseOperator(second_diff_matrix(sol.grid).interior)
+    m = -operator.shifted(_EXP.derivative(sol.lam, sol.interior))
     spectrum = eig_general(m, want_vectors=False)
     mu_min = float(spectrum.values[0].real)
     return mu_min > 0.0, mu_min, spectrum

@@ -33,7 +33,6 @@ from .errors import (
     NoSolutionError,
 )
 from .newton import NewtonConfig, convergence_order_estimate, make_nonlinearity
-from .pde2d import Field2D
 
 __all__ = ["main", "run"]
 
@@ -136,32 +135,6 @@ def _trace_doc(trace) -> dict:
     }
 
 
-def _amplitude(args) -> float:
-    if args.amplitude is not None:
-        return args.amplitude
-    return 0.1 if args.guess == "eigenfunction" else 6.0
-
-
-def _guess_2d(args, grid) -> Field2D:
-    if args.guess.startswith("file:"):
-        data = np.loadtxt(args.guess[5:])
-        m = grid.n - 1
-        if data.shape == (grid.n + 1, grid.n + 1):
-            data = data[1:-1, 1:-1]
-        if data.shape != (m, m):
-            raise InvalidArgumentError(
-                f"2D guess file must be ({m}, {m}) or ({grid.n + 1}, {grid.n + 1})"
-            )
-        return Field2D(grid=grid, interior=np.asarray(data, dtype=float))
-    if args.guess == "zero":
-        return Field2D(grid=grid, interior=np.zeros((grid.n - 1, grid.n - 1)))
-    if args.guess == "eigenfunction":
-        return pde2d.guess_eigenfunction(grid, _amplitude(args))
-    if args.guess == "onepoint":
-        return pde2d.guess_onepoint(grid, _amplitude(args))
-    raise InvalidArgumentError(f"unsupported 2D guess {args.guess!r}")
-
-
 # --------------------------------------------------------------------------
 # command handlers: each returns (exit_code, doc, table)
 # table = (comment_lines, column_names, rows) or None for json-only payloads
@@ -211,13 +184,7 @@ def _solve_payload(args, dim: int):
         raise InvalidArgumentError(f"1D solves support only the exp nonlinearity, got {name!r}")
     n = args.n if args.n is not None else (32 if dim == 1 else 16)
     grid = cheb_points(n, args.half_width)
-    if dim == 2:
-        nl = make_nonlinearity(name, args.epsilon)
-        guess = _guess_2d(args, grid)
-    elif args.guess.startswith("file:"):
-        guess = np.loadtxt(args.guess[5:])
-    else:
-        guess = args.guess
+    guess = np.loadtxt(args.guess[5:]) if args.guess.startswith("file:") else args.guess
     params = {
         "lambda": args.lam,
         "L": args.half_width,
@@ -228,9 +195,10 @@ def _solve_payload(args, dim: int):
     }
     try:
         if dim == 1:
-            sol = bratu1d.solve_1d(args.lam, grid, guess, _amplitude(args), _newton_config(args))
+            sol = bratu1d.solve_1d(args.lam, grid, guess, args.amplitude, _newton_config(args))
         else:
-            sol = pde2d.solve_2d(args.lam, nl, grid, guess, _newton_config(args))
+            sol = pde2d.solve_2d(args.lam, make_nonlinearity(name, args.epsilon), grid, guess,
+                                 args.amplitude, _newton_config(args))
     except NewtonError as exc:
         doc = {
             "params": params,
@@ -242,29 +210,34 @@ def _solve_payload(args, dim: int):
     return sol, grid, None, params
 
 
-def _cmd_solve_1d(args):
-    sol, grid, failure, params = _solve_payload(args, 1)
+def _cmd_solve(args):
+    dim = 1 if args.command == "solve-1d" else 2
+    sol, grid, failure, params = _solve_payload(args, dim)
     if failure is not None:
         return 3, failure, None
-    decay = diagnostics.decay_report(grid, sol.values)
+    decay = diagnostics.decay_report(grid, sol.values.T)
+    rot90 = diagnostics.symmetry_report(sol.interior).rot90_dev if dim == 2 else None
     doc = {
         "params": params,
         "solution": {
-            "u_max": float(sol.values.max()),
+            "u_max": sol.u_max,
             "center_value": sol.center_value(),
             "branch": sol.branch,
-            "grid_values": [list(map(float, sol.values))],
+            "grid_values": np.atleast_2d(sol.values).tolist(),
         },
         "newton": _trace_doc(sol.trace),
         "diagnostics": {
             "odd_floor": decay.odd_floor,
             "fit_rate": decay.fit_rate,
-            "rot90_dev": None,
+            "rot90_dev": rot90,
         },
     }
-    rows = list(zip(map(float, grid.points), map(float, sol.values)))
-    comments = [f"lambda = {args.lam}  branch = {sol.branch}"]
-    return 0, doc, (comments, ["x", "u"], rows)
+    # one row per grid point, x varying fastest: (x, u) or (x, y, u[iy, ix])
+    coords = [c.ravel().tolist() for c in np.meshgrid(*[grid.points] * dim)]
+    rows = list(zip(*coords, sol.values.ravel().tolist()))
+    label = f"branch = {sol.branch}" if dim == 1 else f"nonlinearity = {args.nonlinearity}"
+    comments = [f"lambda = {args.lam}  {label}"]
+    return 0, doc, (comments, ["x", "y"][:dim] + ["u"], rows)
 
 
 def _cmd_stability_1d(args):
@@ -276,7 +249,7 @@ def _cmd_stability_1d(args):
     doc = {
         "params": params,
         "solution": {
-            "u_max": float(sol.values.max()),
+            "u_max": sol.u_max,
             "center_value": sol.center_value(),
             "branch": sol.branch,
         },
@@ -300,43 +273,11 @@ def _cmd_eig_2d(args):
     return 0, doc, ([], ["k", "eig_real", "eig_imag"], rows)
 
 
-def _cmd_solve_2d(args):
-    sol, grid, failure, params = _solve_payload(args, 2)
-    if failure is not None:
-        return 3, failure, None
-    decay = diagnostics.decay_report(grid, sol.embed().T)
-    sym = diagnostics.symmetry_report(sol)
-    full = sol.embed()
-    doc = {
-        "params": params,
-        "solution": {
-            "u_max": sol.u_max,
-            "center_value": sol.center_value(),
-            "branch": "unknown",
-            "grid_values": [list(map(float, row)) for row in full],
-        },
-        "newton": _trace_doc(sol.trace),
-        "diagnostics": {
-            "odd_floor": decay.odd_floor,
-            "fit_rate": decay.fit_rate,
-            "rot90_dev": sym.rot90_dev,
-        },
-    }
-    pts = grid.points
-    rows = [
-        (float(pts[ix]), float(pts[iy]), float(full[iy, ix]))
-        for iy in range(grid.n + 1)
-        for ix in range(grid.n + 1)
-    ]
-    comments = [f"lambda = {args.lam}  nonlinearity = {args.nonlinearity}"]
-    return 0, doc, (comments, ["x", "y", "u"], rows)
-
-
 def _cmd_coeffs(args):
     sol, grid, failure, params = _solve_payload(args, 1 if args.dim == "1d" else 2)
     if failure is not None:
         return 3, failure, None
-    rep = diagnostics.decay_report(grid, sol.values if args.dim == "1d" else sol.embed().T)
+    rep = diagnostics.decay_report(grid, sol.values.T)
     rows = [(*idx, float(v)) for idx, v in np.ndenumerate(rep.coeffs)]
     columns = ["k", "l"][:rep.coeffs.ndim] + ["abs_coeff"]
     doc = {
@@ -357,7 +298,7 @@ def _cmd_symmetry(args):
     sol, grid, failure, params = _solve_payload(args, 2)
     if failure is not None:
         return 3, failure, None
-    sym = diagnostics.symmetry_report(sol)
+    sym = diagnostics.symmetry_report(sol.interior)
     doc = {
         "params": params,
         "solution": {"u_max": sol.u_max, "center_value": sol.center_value()},
@@ -380,10 +321,10 @@ def _cmd_symmetry(args):
 
 _HANDLERS = {
     "bifurcation-1d": _cmd_bifurcation_1d,
-    "solve-1d": _cmd_solve_1d,
+    "solve-1d": _cmd_solve,
     "stability-1d": _cmd_stability_1d,
     "eig-2d": _cmd_eig_2d,
-    "solve-2d": _cmd_solve_2d,
+    "solve-2d": _cmd_solve,
     "bifurcation-2d-approx": _cmd_bifurcation_2d_approx,
     "coeffs": _cmd_coeffs,
     "symmetry": _cmd_symmetry,

@@ -85,9 +85,8 @@ def _fit_and_plateau(indices: np.ndarray, mags: np.ndarray):
 def decay_report(grid: Grid1D, values) -> DecayReport:
     """Decay/parity report of grid samples, a vector or a square array.
 
-    1D solutions pass their full-grid ``values``; 2D fields pass
-    ``field.embed().T``, the boundary-embedded samples with ``x`` on
-    axis 0.
+    A :class:`~chebratu.newton.Solution` passes ``values.T``: its full-grid
+    samples, with ``x`` on axis 0 in 2D (``.T`` leaves a vector as it is).
     """
     mags = np.abs(cheb_transform(grid, values))
     odd = np.logical_or.reduce(np.indices(mags.shape) % 2 == 1)
@@ -100,10 +99,11 @@ def decay_report(grid: Grid1D, values) -> DecayReport:
                        fit_rate=fit_rate, plateau=plateau)
 
 
-def symmetry_report(field) -> SymmetryReport:
-    """Deviations of a :class:`~chebratu.pde2d.Field2D` from 90-degree
-    rotation, transposition and reflections."""
-    u = np.asarray(field.interior, dtype=float)
+def symmetry_report(interior) -> SymmetryReport:
+    """Deviations of a square array, such as the ``interior`` of a 2D
+    :class:`~chebratu.newton.Solution`, from 90-degree rotation,
+    transposition and reflections."""
+    u = np.asarray(interior, dtype=float)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidArgumentError("symmetry report needs a square interior matrix")
     return SymmetryReport(

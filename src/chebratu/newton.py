@@ -7,18 +7,23 @@ below its tolerance.  Failures raise with the partial trace attached so
 callers can inspect how far the iteration got.
 
 The 1D and 2D problems share one discrete form, ``Lap u + lam f(u) = 0``
-on the interior unknowns: :func:`solve_semilinear` solves it for any
-reaction term of :func:`make_nonlinearity` and any interior operator that
-applies ``Lap`` and solves ``Lap + diag(d)``: a :class:`DenseOperator` by
-LU in 1D, the fast-diagonalized tensor Laplacian by GMRES in 2D.
+on the interior unknowns, and everything around its solve: one starting
+field (:func:`initial_guess`), one Newton solve (:func:`solve_semilinear`,
+for any reaction term of :func:`make_nonlinearity` and any interior
+operator that applies ``Lap`` and solves ``Lap + diag(d)``: a
+:class:`DenseOperator` by LU in 1D, the fast-diagonalized tensor Laplacian
+by GMRES in 2D) and one result (:class:`Solution`).  The dimension only
+picks the operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
+from .chebyshev import Grid1D, barycentric_resample
 from .errors import (
     DivergenceError,
     InsufficientDataError,
@@ -35,10 +40,11 @@ __all__ = [
     "NewtonConfig",
     "NewtonTrace",
     "Nonlinearity",
+    "Solution",
     "newton_kantorovich",
     "convergence_order_estimate",
     "make_nonlinearity",
-    "linearization",
+    "initial_guess",
     "solve_semilinear",
 ]
 
@@ -242,18 +248,15 @@ def make_nonlinearity(name: str, epsilon: float | None = None) -> Nonlinearity:
     return Nonlinearity(name, _scaled(f), _scaled(df))
 
 
-def linearization(lap, lam: float, nonlinearity: Nonlinearity, u) -> np.ndarray:
-    """``lap + diag(derivative(lam, u))``, the Jacobian of ``lap u + lam f(u)``
-    at ``u``; its negation is the operator of the linear stability problem."""
-    return lap + np.diag(nonlinearity.derivative(lam, u))
-
-
 @dataclass(frozen=True)
 class DenseOperator:
     """An interior operator held as a dense matrix, for small systems.
 
-    ``apply(u)`` is ``matrix @ u``; ``solve_shifted(d, b)`` solves
-    ``(matrix + diag(d)) x = b`` by LU and returns ``(x, 1)``.
+    ``apply(u)`` is ``matrix @ u``; ``shifted(d)`` is ``matrix + diag(d)``,
+    the Jacobian of ``matrix u + lam f(u)`` when ``d = lam f'(u)`` and,
+    negated, the operator of the linear stability problem;
+    ``solve_shifted(d, b)`` solves ``shifted(d) x = b`` by LU and returns
+    ``(x, 1)``.
     """
 
     matrix: np.ndarray
@@ -261,8 +264,85 @@ class DenseOperator:
     def apply(self, u) -> np.ndarray:
         return self.matrix @ u
 
+    def shifted(self, d) -> np.ndarray:
+        return self.matrix + np.diag(d)
+
     def solve_shifted(self, d, b):
-        return lu_solve(self.matrix + np.diag(d), b), 1
+        return lu_solve(self.shifted(d), b), 1
+
+
+@dataclass(frozen=True)
+class Solution:
+    """A converged collocation solution in one or two dimensions.
+
+    ``values`` holds the full grid, one axis per dimension, with exact
+    zeros on the boundary; a 2D field is indexed ``values[iy, ix]``.
+    ``branch`` is "small", "big" or "unknown" (always "unknown" in 2D).
+    """
+
+    grid: Grid1D
+    values: np.ndarray
+    lam: float
+    branch: str
+    trace: NewtonTrace
+
+    @property
+    def interior(self) -> np.ndarray:
+        """The values off the boundary, shape ``(n - 1,) * ndim``."""
+        return self.values[(slice(1, -1),) * self.values.ndim]
+
+    @property
+    def u_max(self) -> float:
+        return float(self.values.max())
+
+    def center_value(self) -> float:
+        """Interpolated value at the center of the domain."""
+        center = barycentric_resample(self.grid, self.values, *[[0.0]] * self.values.ndim)
+        return float(center.reshape(-1)[0])
+
+
+def initial_guess(grid: Grid1D, ndim: int, guess, amplitude: float | None = None,
+                  ground=None) -> np.ndarray:
+    """Interior starting field, shape ``(n - 1,) * ndim``, of a solve on ``grid``.
+
+    ``guess`` is an array of full-grid or interior shape, or a name:
+
+    * ``"zero"``, the zero field;
+    * ``"onepoint"``, the lowest polynomial basis function, ``amplitude``
+      times the product of ``1 - (x/L)**2`` over the axes (an outer product
+      of the 1D factor, so it carries the square's symmetries exactly);
+    * ``"eigenfunction"`` (2D only), ``outer(v0, v0)`` for the ground state
+      ``ground = v0`` of the interior ``D2``, scaled so its maximum equals
+      ``amplitude`` exactly.
+
+    ``amplitude=None`` means 6 for ``onepoint`` and 0.1 for
+    ``eigenfunction``.  The eigenfunction guess targets the small branch,
+    the one-point guess the big one.
+    """
+    shape = (grid.n - 1,) * ndim
+    if not isinstance(guess, str):
+        u = np.asarray(guess, dtype=float)
+        if u.shape == (grid.n + 1,) * ndim:
+            return u[(slice(1, -1),) * ndim].copy()
+        if u.shape == shape:
+            return u.copy()
+        raise InvalidArgumentError(
+            f"custom guess must have full-grid shape {(grid.n + 1,) * ndim} or interior "
+            f"shape {shape}, got {u.shape}"
+        )
+    if guess == "zero":
+        return np.zeros(shape)
+    if guess == "onepoint":
+        amplitude = 6.0 if amplitude is None else amplitude
+        factor = 1.0 - (grid.points[1:-1] / grid.half_width) ** 2
+        return amplitude * reduce(np.multiply.outer, [factor] * ndim)
+    if guess == "eigenfunction" and ndim == 2:
+        amplitude = 0.1 if amplitude is None else amplitude
+        if not np.isfinite(amplitude) or amplitude <= 0.0:
+            raise InvalidArgumentError("guess amplitude must be positive")
+        field = np.outer(ground, ground)
+        return field * (amplitude / field.max())
+    raise InvalidArgumentError(f"unknown {ndim}D guess {guess!r}")
 
 
 def solve_semilinear(operator, lam: float, nonlinearity: Nonlinearity, u0,
@@ -270,10 +350,11 @@ def solve_semilinear(operator, lam: float, nonlinearity: Nonlinearity, u0,
     """Newton-Kantorovich solution of ``Lap u + lam f(u) = 0``.
 
     ``operator`` is the interior ``Lap`` (Dirichlet conditions already
-    imposed), with ``apply(u)`` and ``solve_shifted(d, b)`` as on
-    :class:`DenseOperator`.  The residual is ``apply(u) + value(lam, u)``;
-    the Jacobian ``Lap + diag(derivative(lam, u))`` is passed on as its
-    diagonal and solved by ``solve_shifted``.  Returns and raises as
+    imposed), with ``apply(u)`` and ``solve_shifted(d, b)`` on flattened
+    interior vectors, as on :class:`DenseOperator`.  The residual is
+    ``apply(u) + value(lam, u)``; the Jacobian ``Lap + diag(derivative(lam,
+    u))`` is passed on as its diagonal and solved by ``solve_shifted``.
+    Returns ``(u, trace)`` with ``u`` in the shape of ``u0``, and raises as
     :func:`newton_kantorovich`.
     """
     def residual(u):
@@ -282,7 +363,9 @@ def solve_semilinear(operator, lam: float, nonlinearity: Nonlinearity, u0,
     def jacobian(u):
         return nonlinearity.derivative(lam, u)
 
-    return newton_kantorovich(residual, jacobian, u0, config, solve=operator.solve_shifted)
+    u, trace = newton_kantorovich(residual, jacobian, np.ravel(u0), config,
+                                  solve=operator.solve_shifted)
+    return u.reshape(np.shape(u0)), trace
 
 
 def convergence_order_estimate(trace: NewtonTrace) -> float:

@@ -19,11 +19,15 @@ gives the whole Dirichlet spectrum, ``-(w_i + w_j)`` with eigenvectors
 ``Lap + diag(lam f'(u))`` by GMRES preconditioned with that solve, ``c``
 being the mean of the diagonal.
 
-Initial guesses: the ground-state eigenfunction of the Dirichlet
-Laplacian targets the small branch; the lowest polynomial basis function
-``A (1 - x^2)(1 - y^2)`` targets the big branch, and its one-point
-weighted-residual estimate ``lam ~ 3.2 A exp(-0.64 A)`` (Boyd, 1986)
-sketches the bifurcation diagram.
+A 2D solve is the fast-diagonalized case of the shared
+:func:`~chebratu.newton.solve_semilinear`, started from the shared
+:func:`~chebratu.newton.initial_guess` and returned as a
+:class:`~chebratu.newton.Solution`.  Its ``"eigenfunction"`` guess, the
+ground state of the Dirichlet Laplacian, takes ``outer(V[:, 0], V[:, 0])``
+from the same eigendecomposition and targets the small branch; the lowest
+polynomial basis function ``A (1 - x^2)(1 - y^2)`` targets the big branch,
+and its one-point weighted-residual estimate ``lam ~ 3.2 A exp(-0.64 A)``
+(Boyd, 1986) sketches the bifurcation diagram.
 """
 
 from __future__ import annotations
@@ -32,65 +36,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import Grid1D, barycentric_resample, second_diff_matrix
+from .chebyshev import Grid1D, second_diff_matrix
 from .errors import InvalidArgumentError, NumericalFailureError
-from .newton import NewtonConfig, NewtonTrace, Nonlinearity, solve_semilinear
+from .newton import NewtonConfig, Nonlinearity, Solution, initial_guess, solve_semilinear
 from .numerics import EigenResult, eig_general, gmres
 
 __all__ = [
-    "Field2D",
     "TensorLaplacian",
     "tensor_laplacian",
     "laplacian_eigs",
-    "guess_eigenfunction",
-    "guess_onepoint",
     "solve_2d",
     "onepoint_lambda",
 ]
-
-
-@dataclass(frozen=True)
-class Field2D:
-    """Values on the interior tensor grid, with vector/matrix views.
-
-    ``interior[iy, ix]`` holds the value at ``(x_ix, y_iy)``; ``lam`` and
-    ``trace`` are set on solver output and ``None`` on initial guesses.
-    """
-
-    grid: Grid1D
-    interior: np.ndarray
-    lam: float | None = None
-    trace: NewtonTrace | None = None
-
-    @classmethod
-    def from_vector(cls, grid: Grid1D, vec, lam=None, trace=None) -> "Field2D":
-        m = grid.n - 1
-        v = np.asarray(vec, dtype=float)
-        if v.shape != (m * m,):
-            raise InvalidArgumentError(
-                f"expected an interior vector of length {m * m}, got shape {v.shape}"
-            )
-        return cls(grid=grid, interior=v.reshape(m, m), lam=lam, trace=trace)
-
-    def as_vector(self) -> np.ndarray:
-        """Row-major flattening (x-index fastest)."""
-        return self.interior.reshape(-1)
-
-    def embed(self) -> np.ndarray:
-        """Full ``(n+1) x (n+1)`` grid values with exact zero boundary."""
-        full = np.zeros((self.grid.n + 1, self.grid.n + 1))
-        full[1:-1, 1:-1] = self.interior
-        return full
-
-    @property
-    def u_max(self) -> float:
-        return float(self.embed().max())
-
-    def center_value(self) -> float:
-        """Interpolated value at the center of the square."""
-        return float(
-            barycentric_resample(self.grid, self.embed(), [0.0], [0.0])[0, 0]
-        )
 
 
 @dataclass(frozen=True)
@@ -168,30 +125,6 @@ def laplacian_eigs(grid: Grid1D, k: int) -> EigenResult:
     return EigenResult(values=sums[order].astype(complex), vectors=vectors)
 
 
-def guess_eigenfunction(grid: Grid1D, amplitude: float = 0.1) -> Field2D:
-    """Ground state of the Dirichlet Laplacian, scaled to ``amplitude``.
-
-    ``outer(v0, v0)`` for the ground state ``v0`` of ``D2``, positive in
-    the interior and rescaled so its maximum equals ``amplitude`` exactly.
-    """
-    if not np.isfinite(amplitude) or amplitude <= 0.0:
-        raise InvalidArgumentError("guess amplitude must be positive")
-    v0 = tensor_laplacian(grid).vectors[:, 0]
-    ground = np.outer(v0, v0)
-    return Field2D(grid=grid, interior=ground * (amplitude / ground.max()))
-
-
-def guess_onepoint(grid: Grid1D, amplitude: float) -> Field2D:
-    """Lowest basis function ``A (1 - (x/L)^2)(1 - (y/L)^2)`` on the interior.
-
-    Built as an outer product of the 1D factor with itself so the sampled
-    field carries the square's symmetries exactly in floating point.
-    """
-    xi = grid.points[1:-1] / grid.half_width
-    factor = 1.0 - xi**2
-    return Field2D(grid=grid, interior=amplitude * np.outer(factor, factor))
-
-
 def onepoint_lambda(amplitude):
     """One-point weighted-residual estimate ``3.2 A exp(-0.64 A)``.
 
@@ -205,20 +138,24 @@ def onepoint_lambda(amplitude):
     return float(out) if np.ndim(amplitude) == 0 else out
 
 
-def solve_2d(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, guess: Field2D,
-             config: NewtonConfig | None = None) -> Field2D:
+def solve_2d(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, guess,
+             amplitude: float | None = None,
+             config: NewtonConfig | None = None) -> Solution:
     """Newton-Kantorovich solution of ``Lap(u) + lam f(u) = 0``.
 
     :func:`~chebratu.newton.solve_semilinear` on the
     :func:`tensor_laplacian`, each Newton step a preconditioned GMRES
-    solve.  For ``lam`` beyond the fold of the diagram the iteration fails
-    (a GMRES solve that stalls reports a singular Jacobian) and the Newton
-    error propagates with its trace.
+    solve, from :func:`~chebratu.newton.initial_guess` of ``guess`` and
+    ``amplitude`` (``"eigenfunction"``, ``"onepoint"``, ``"zero"`` or an
+    array of full-grid or interior shape).  The branch label is
+    "unknown".  For ``lam`` beyond the fold of the diagram the iteration
+    fails (a GMRES solve that stalls reports a singular Jacobian) and the
+    Newton error propagates with its trace.
     """
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidArgumentError(f"lam must be nonnegative, got {lam!r}")
-    if guess.grid.n != grid.n or guess.grid.half_width != grid.half_width:
-        raise InvalidArgumentError("guess and solve grids differ")
-    solution, trace = solve_semilinear(tensor_laplacian(grid), lam, nonlinearity,
-                                       guess.as_vector(), config)
-    return Field2D.from_vector(grid, solution, lam=float(lam), trace=trace)
+    operator = tensor_laplacian(grid)
+    u0 = initial_guess(grid, 2, guess, amplitude, operator.vectors[:, 0])
+    u, trace = solve_semilinear(operator, lam, nonlinearity, u0, config)
+    return Solution(grid=grid, values=np.pad(u, 1), lam=float(lam), branch="unknown",
+                    trace=trace)

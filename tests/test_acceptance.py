@@ -43,8 +43,6 @@ from chebratu import (
     decay_report,
     diff_matrix,
     exact_solution,
-    guess_eigenfunction,
-    guess_onepoint,
     inverse_cheb_transform,
     laplacian_eigs,
     make_nonlinearity,
@@ -100,13 +98,7 @@ def _dual_1d():
 
 @lru_cache(maxsize=None)
 def _solve_2d_exp(n, guess, amplitude):
-    grid = cheb_points(n, 1.0)
-    nl = make_nonlinearity("exp")
-    if guess == "eigenfunction":
-        start = guess_eigenfunction(grid, amplitude)
-    else:
-        start = guess_onepoint(grid, amplitude)
-    return solve_2d(0.5, nl, grid, start)
+    return solve_2d(0.5, make_nonlinearity("exp"), cheb_points(n, 1.0), guess, amplitude)
 
 
 def test_criterion_01_fold_location():
@@ -270,7 +262,7 @@ def test_criterion_08_2d_symmetries():
         ("small", _solve_2d_exp(16, "eigenfunction", 0.1)),
         ("big", _solve_2d_exp(16, "onepoint", 6.0)),
     ):
-        rep = symmetry_report(sol)
+        rep = symmetry_report(sol.interior)
         for name in ("rot90_dev", "transpose_dev", "reflect_x_dev", "reflect_y_dev"):
             val = getattr(rep, name)
             checks.append((f"{label} {name} <= 1e-9 (got {val:.2e})", val <= 1e-9))
@@ -284,8 +276,8 @@ def test_criterion_09_parity_and_decay():
     rep_b1 = decay_report(big1d.grid, big1d.values)
     small2d = _solve_2d_exp(16, "eigenfunction", 0.1)
     big2d = _solve_2d_exp(16, "onepoint", 6.0)
-    rep_s2 = decay_report(small2d.grid, small2d.embed().T)
-    rep_b2 = decay_report(big2d.grid, big2d.embed().T)
+    rep_s2 = decay_report(small2d.grid, small2d.values.T)
+    rep_b2 = decay_report(big2d.grid, big2d.values.T)
     checks = [
         (f"1D small odd floor <= 1e-12 (got {rep_s1.odd_floor:.2e})",
          rep_s1.odd_floor <= 1e-12),
@@ -318,22 +310,19 @@ def test_criterion_11_gelfand_and_hyperbolic_variants():
     t0 = time.perf_counter()
     grid = cheb_points(16, 1.0)
     exp_sol = _solve_2d_exp(16, "eigenfunction", 0.1)
-    gel = solve_2d(0.5, make_nonlinearity("gelfand", 1e-6), grid,
-                   guess_eigenfunction(grid, 0.1))
+    gel = solve_2d(0.5, make_nonlinearity("gelfand", 1e-6), grid, "eigenfunction", 0.1)
     diff = np.max(np.abs(gel.interior - exp_sol.interior))
-    cosh_sol = solve_2d(0.5, make_nonlinearity("cosh"), grid,
-                        guess_eigenfunction(grid, 0.1))
-    sinh_sol = solve_2d(0.5, make_nonlinearity("sinh"), grid,
-                        guess_eigenfunction(grid, 0.1))
+    cosh_sol = solve_2d(0.5, make_nonlinearity("cosh"), grid, "eigenfunction", 0.1)
+    sinh_sol = solve_2d(0.5, make_nonlinearity("sinh"), grid, "eigenfunction", 0.1)
     checks = [
         (f"gelfand(1e-6) within 1e-5 of exp (diff {diff:.2e})", diff <= 1e-5),
         ("cosh variant converged", cosh_sol.trace.converged),
         ("sinh variant converged", sinh_sol.trace.converged),
     ]
     for label, sol in (("cosh", cosh_sol), ("sinh", sinh_sol)):
-        rep = symmetry_report(sol)
+        rep = symmetry_report(sol.interior)
         dev = max(rep.rot90_dev, rep.transpose_dev, rep.reflect_x_dev, rep.reflect_y_dev)
-        odd = decay_report(sol.grid, sol.embed().T).odd_floor
+        odd = decay_report(sol.grid, sol.values.T).odd_floor
         checks.append((f"{label} symmetry deviations <= 1e-9 (got {dev:.2e})", dev <= 1e-9))
         checks.append((f"{label} odd floor <= 1e-12 (got {odd:.2e})", odd <= 1e-12))
     _finish(11, "nonlinearity-variants", t0, None, checks)

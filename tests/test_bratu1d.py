@@ -7,7 +7,7 @@ import pytest
 
 from chebratu import (
     NewtonTrace,
-    Solution1D,
+    Solution,
     bifurcation_curve,
     branch_amplitudes,
     cheb_points,
@@ -107,6 +107,16 @@ def test_exact_solution_ode_residual():
         w = exact_solution(A, L, np.array([x - h, x, x + h]))
         second = (w[0] - 2.0 * w[1] + w[2]) / h**2
         assert abs(second + lam * math.exp(w[1])) < 1e-5
+
+
+def test_exact_solution_is_accurate_at_tiny_amplitude():
+    # u(x) = A (1 - x^2) - A^2 x^2 (1 - x^2) / 6 + O(A^3) on [-1, 1]; at
+    # A = 1e-12 the second term is still 4e-14 of the first at x = 1/2
+    A = 1e-12
+    x = np.array([0.1, 0.5, 0.9])
+    series = A * (1.0 - x**2) - A**2 * x**2 * (1.0 - x**2) / 6.0
+    got = exact_solution(A, 1.0, x)
+    assert np.max(np.abs(got - series) / series) <= 1e-14
 
 
 def test_exact_solution_validation():
@@ -344,7 +354,7 @@ def test_stability_sign_flip_at_fold():
 
 
 def test_stability_requires_convergence(grid32):
-    fake = Solution1D(grid=grid32, values=np.zeros(33), lam=0.25,
-                      branch="unknown", trace=NewtonTrace())
+    fake = Solution(grid=grid32, values=np.zeros(33), lam=0.25,
+                    branch="unknown", trace=NewtonTrace())
     with pytest.raises(InvalidArgumentError):
         stability_1d(fake)

@@ -129,6 +129,19 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
                 "--epsilon", "0.3"]) == 2
     assert run(["solve-1d", "--lambda", "0.25",
                 "--output", str(tmp_path / "no" / "dir.json")]) == 2
+    # guesses: the eigenfunction is 2D only, names are checked, its
+    # amplitude must be positive and a file must match the grid
+    bad_1d = tmp_path / "bad1.txt"
+    np.savetxt(bad_1d, np.zeros(10))
+    bad_2d = tmp_path / "bad2.txt"
+    np.savetxt(bad_2d, np.zeros((16, 16)))
+    for argv in (["solve-1d", "--guess", "eigenfunction"],
+                 ["solve-1d", "--guess", f"file:{bad_1d}"],
+                 ["solve-2d", "--guess", "mystery"],
+                 ["solve-2d", "--guess", "eigenfunction", "--amplitude", "0"],
+                 ["symmetry", "--guess", "eigenfunction", "--amplitude", "-1"],
+                 ["solve-2d", "--guess", f"file:{bad_2d}"]):
+        assert run(argv[:1] + ["--lambda", "0.25"] + argv[1:]) == 2, argv
     capsys.readouterr()
 
 
@@ -223,6 +236,16 @@ def test_file_guess_round_trip(tmp_path):
                      "--guess", f"file:{guess_path}"], tmp_path)
     assert doc["solution"]["branch"] == "big"
     assert doc["newton"]["iterations"] <= 3
+
+    # a 2D guess file of interior or full-grid shape starts the same solve
+    ref = _run_json(["solve-2d", "--lambda", "0.5", "--n", "12"], tmp_path, "ref.json")
+    full = np.array(ref["solution"]["grid_values"])
+    for name, data in (("full.txt", full), ("interior.txt", full[1:-1, 1:-1])):
+        np.savetxt(tmp_path / name, data)
+        doc = _run_json(["solve-2d", "--lambda", "0.5", "--n", "12",
+                         "--guess", f"file:{tmp_path / name}"], tmp_path)
+        assert doc["newton"]["iterations"] <= 2
+        assert np.max(np.abs(np.array(doc["solution"]["grid_values"]) - full)) < 1e-12
 
 
 def test_custom_tolerances(tmp_path):

@@ -4,22 +4,26 @@ import numpy as np
 import pytest
 
 from chebratu import (
-    Field2D,
     cheb_points,
     decay_report,
-    guess_eigenfunction,
-    guess_onepoint,
+    initial_guess,
     make_nonlinearity,
     solve_1d,
     solve_2d,
     symmetry_report,
+    tensor_laplacian,
 )
 from chebratu.errors import InvalidArgumentError
 
 
-def _report_2d(field):
-    """Decay report of a 2D field, samples with x on axis 0."""
-    return decay_report(field.grid, field.embed().T)
+def _report_2d(grid, interior):
+    """Decay report of an interior field ``[iy, ix]``, samples with x on axis 0."""
+    return decay_report(grid, np.pad(interior, 1).T)
+
+
+def _eigenfunction(grid, amplitude):
+    ground = tensor_laplacian(grid).vectors[:, 0]
+    return initial_guess(grid, 2, "eigenfunction", amplitude, ground)
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +42,8 @@ def solutions_1d():
 @pytest.fixture(scope="module")
 def solutions_2d(grid16):
     nl = make_nonlinearity("exp")
-    small = solve_2d(0.5, nl, grid16, guess_eigenfunction(grid16, 0.1))
-    big = solve_2d(0.5, nl, grid16, guess_onepoint(grid16, 6.0))
+    small = solve_2d(0.5, nl, grid16, "eigenfunction", 0.1)
+    big = solve_2d(0.5, nl, grid16, "onepoint", 6.0)
     return small, big
 
 
@@ -64,23 +68,22 @@ def test_1d_solution_parity_and_rates(solutions_1d):
 
 
 def test_2d_eigenfunction_parity_and_rate(grid16):
-    f = guess_eigenfunction(grid16, 1.0)
-    rep = _report_2d(f)
+    rep = _report_2d(grid16, _eigenfunction(grid16, 1.0))
     assert rep.odd_floor <= 1e-12
     assert rep.fit_rate < 0.0
 
 
 def test_2d_solution_rate_shallower_than_eigenfunction(grid16, solutions_2d):
     small, _ = solutions_2d
-    rep_sol = _report_2d(small)
-    rep_eig = _report_2d(guess_eigenfunction(grid16, 1.0))
+    rep_sol = decay_report(small.grid, small.values.T)
+    rep_eig = _report_2d(grid16, _eigenfunction(grid16, 1.0))
     assert rep_sol.odd_floor <= 1e-12
     assert rep_sol.fit_rate < 0.0
     assert rep_sol.fit_rate > rep_eig.fit_rate
 
 
 def test_2d_biquadratic_coefficients(grid16):
-    rep = _report_2d(guess_onepoint(grid16, 1.0))
+    rep = _report_2d(grid16, initial_guess(grid16, 2, "onepoint", 1.0))
     mags = rep.coeffs
     mask = np.zeros_like(mags, dtype=bool)
     mask[3:, :] = True
@@ -89,28 +92,28 @@ def test_2d_biquadratic_coefficients(grid16):
 
 
 def test_zero_field_report(grid16):
-    rep = _report_2d(Field2D(grid=grid16, interior=np.zeros((15, 15))))
+    rep = _report_2d(grid16, np.zeros((15, 15)))
     assert rep.odd_floor == 0.0
     assert rep.even_floor == 0.0
 
 
 def test_symmetry_report_examples(grid16):
-    guess = guess_onepoint(grid16, 6.0)
+    guess = initial_guess(grid16, 2, "onepoint", 6.0)
     rep = symmetry_report(guess)
     assert rep.rot90_dev == 0.0
     assert rep.transpose_dev == 0.0
     assert rep.reflect_x_dev == 0.0
     assert rep.reflect_y_dev == 0.0
 
-    bumped = guess.interior.copy()
+    bumped = guess.copy()
     bumped[2, 5] += 1e-3
-    rep2 = symmetry_report(Field2D(grid=grid16, interior=bumped))
+    rep2 = symmetry_report(bumped)
     assert abs(rep2.rot90_dev - 1e-3) < 1e-15
 
 
 def test_symmetry_report_on_solutions(solutions_2d):
     for sol in solutions_2d:
-        rep = symmetry_report(sol)
+        rep = symmetry_report(sol.interior)
         assert rep.rot90_dev <= 1e-9
         assert rep.transpose_dev <= 1e-9
         assert rep.reflect_x_dev <= 1e-9
@@ -119,7 +122,9 @@ def test_symmetry_report_on_solutions(solutions_2d):
 
 def test_symmetry_report_validation(grid16):
     with pytest.raises(InvalidArgumentError):
-        symmetry_report(Field2D(grid=grid16, interior=np.zeros((3, 4))))
+        symmetry_report(np.zeros((3, 4)))
+    with pytest.raises(InvalidArgumentError):
+        symmetry_report(np.zeros(15))
 
 
 def test_symmetrizing_never_increases_reports(grid16):
@@ -131,10 +136,10 @@ def test_symmetrizing_never_increases_reports(grid16):
         images = [u, np.rot90(u), np.rot90(u, 2), np.rot90(u, 3)]
         images += [img.T for img in images]
         sym = np.mean(images, axis=0)
-        before_sym = symmetry_report(Field2D(grid=grid16, interior=u))
-        after_sym = symmetry_report(Field2D(grid=grid16, interior=sym))
+        before_sym = symmetry_report(u)
+        after_sym = symmetry_report(sym)
         for name in ("rot90_dev", "transpose_dev", "reflect_x_dev", "reflect_y_dev"):
             assert getattr(after_sym, name) <= getattr(before_sym, name) + 1e-15
-        before = _report_2d(Field2D(grid=grid16, interior=u))
-        after = _report_2d(Field2D(grid=grid16, interior=sym))
+        before = _report_2d(grid16, u)
+        after = _report_2d(grid16, sym)
         assert after.odd_floor <= before.odd_floor + 1e-15

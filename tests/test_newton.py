@@ -6,8 +6,10 @@ import pytest
 from chebratu import (
     NewtonConfig,
     NewtonTrace,
+    Solution,
     cheb_points,
     convergence_order_estimate,
+    initial_guess,
     make_nonlinearity,
     newton_kantorovich,
     second_diff_matrix,
@@ -184,3 +186,76 @@ def test_shipped_jacobians_match_finite_differences():
             u = rng.uniform(-1.0, 2.0, 49)
             check(lambda w: lap @ w + nl.value(lam, w),
                   lambda w: lap + np.diag(nl.derivative(lam, w)), u)
+
+
+# ---------------------------------------------------------------------------
+# the shared starting field and result
+# ---------------------------------------------------------------------------
+
+
+def _tensor(factor, ndim):
+    return factor if ndim == 1 else np.outer(factor, factor)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_initial_guess_names_and_arrays(ndim):
+    grid = cheb_points(12, 2.0)
+    interior = (slice(1, -1),) * ndim
+    zero = initial_guess(grid, ndim, "zero")
+    assert zero.shape == (11,) * ndim
+    assert not zero.any()
+
+    factor = 1.0 - (grid.points[1:-1] / 2.0) ** 2
+    assert np.array_equal(initial_guess(grid, ndim, "onepoint", 3.0), 3.0 * _tensor(factor, ndim))
+    assert np.array_equal(initial_guess(grid, ndim, "onepoint"), 6.0 * _tensor(factor, ndim))
+
+    full = np.random.default_rng(7).uniform(-1.0, 1.0, (13,) * ndim)
+    from_full = initial_guess(grid, ndim, full)
+    assert np.array_equal(from_full, full[interior])
+    from_interior = initial_guess(grid, ndim, full[interior])
+    assert np.array_equal(from_interior, full[interior])
+    from_full[...] = 0.0
+    from_interior[...] = 0.0
+    assert full[interior].all()
+
+
+def test_initial_guess_eigenfunction_scales_the_ground_state():
+    grid = cheb_points(13, 1.0)
+    ground = np.cos(np.pi * grid.points[1:-1] / 2.0)
+    guess = initial_guess(grid, 2, "eigenfunction", 0.3, ground)
+    assert guess.max() == 0.3
+    assert np.max(np.abs(guess - 0.3 * np.outer(ground, ground) / ground.max() ** 2)) < 1e-15
+    assert np.array_equal(initial_guess(grid, 2, "eigenfunction", None, ground),
+                          initial_guess(grid, 2, "eigenfunction", 0.1, ground))
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_initial_guess_rejects(ndim):
+    grid = cheb_points(12, 1.0)
+    ground = np.cos(np.pi * grid.points[1:-1] / 2.0)
+    bad = [np.zeros(5), np.zeros((13,) * (3 - ndim)), np.zeros((11,) * (ndim + 1)), "mystery"]
+    bad += [np.zeros((11, 13))] if ndim == 2 else ["eigenfunction"]
+    for guess in bad:
+        with pytest.raises(InvalidArgumentError):
+            initial_guess(grid, ndim, guess, None, ground)
+    if ndim == 2:
+        for amplitude in (0.0, -1.0, np.nan):
+            with pytest.raises(InvalidArgumentError):
+                initial_guess(grid, 2, "eigenfunction", amplitude, ground)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_solution_views(n, ndim):
+    """``interior``, ``u_max`` and ``center_value`` in either dimension; the
+    center is a node for even n and interpolated for odd n."""
+    grid = cheb_points(n, 2.0)
+    values = 3.0 * _tensor(1.0 - (grid.points / 2.0) ** 2, ndim)
+    sol = Solution(grid=grid, values=values, lam=0.5, branch="unknown", trace=NewtonTrace())
+    assert np.array_equal(sol.interior, values[(slice(1, -1),) * ndim])
+    assert sol.u_max == values.max()
+    if n % 2 == 0:
+        assert sol.center_value() == 3.0
+    else:
+        assert sol.u_max < 3.0
+        assert abs(sol.center_value() - 3.0) <= 1e-14

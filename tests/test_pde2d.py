@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import chebratu.pde2d
 from chebratu import (
-    Field2D,
     barycentric_resample,
     cheb_points,
-    guess_eigenfunction,
-    guess_onepoint,
+    initial_guess,
     laplacian_eigs,
     make_nonlinearity,
     onepoint_lambda,
@@ -45,12 +44,12 @@ def exp_nl():
 
 @pytest.fixture(scope="module")
 def small16(grid16, exp_nl):
-    return solve_2d(0.5, exp_nl, grid16, guess_eigenfunction(grid16, 0.1))
+    return solve_2d(0.5, exp_nl, grid16, "eigenfunction", 0.1)
 
 
 @pytest.fixture(scope="module")
 def big16(grid16, exp_nl):
-    return solve_2d(0.5, exp_nl, grid16, guess_onepoint(grid16, 6.0))
+    return solve_2d(0.5, exp_nl, grid16, "onepoint", 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,34 +177,61 @@ def test_eig_count_validation(grid16):
 # ---------------------------------------------------------------------------
 
 
+def _eigenfunction_guess(grid, amplitude):
+    ground = tensor_laplacian(grid).vectors[:, 0]
+    return initial_guess(grid, 2, "eigenfunction", amplitude, ground)
+
+
 def test_eigenfunction_guess_positive_and_scaled(grid16):
-    f = guess_eigenfunction(grid16, 0.1)
-    assert np.all(f.interior > 0.0)
-    assert f.interior.max() == 0.1
+    f = _eigenfunction_guess(grid16, 0.1)
+    assert f.shape == (15, 15)
+    assert np.all(f > 0.0)
+    assert f.max() == 0.1
+    # the default amplitude is the CLI's 0.1
+    ground = tensor_laplacian(grid16).vectors[:, 0]
+    assert np.array_equal(initial_guess(grid16, 2, "eigenfunction", None, ground), f)
 
 
 def test_eigenfunction_guess_shape():
     grid = cheb_points(20, 1.0)
-    f = guess_eigenfunction(grid, 1.0)
+    f = _eigenfunction_guess(grid, 1.0)
     xi = grid.points[1:-1]
     X, Y = np.meshgrid(xi, xi)
     expect = np.cos(np.pi * X / 2.0) * np.cos(np.pi * Y / 2.0)
-    assert np.max(np.abs(f.interior - expect)) < 1e-6
+    assert np.max(np.abs(f - expect)) < 1e-6
 
 
 def test_eigenfunction_guess_validation(grid16):
-    with pytest.raises(InvalidArgumentError):
-        guess_eigenfunction(grid16, 0.0)
+    for amplitude in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(InvalidArgumentError):
+            _eigenfunction_guess(grid16, amplitude)
+        with pytest.raises(InvalidArgumentError):
+            solve_2d(0.5, make_nonlinearity("exp"), grid16, "eigenfunction", amplitude)
 
 
 def test_onepoint_guess(grid16):
-    f = guess_onepoint(grid16, 6.0)
+    f = initial_guess(grid16, 2, "onepoint", 6.0)
     # n is even, so the center point is on the grid
-    assert f.interior[7, 7] == 6.0
-    assert np.max(np.abs(f.interior - np.rot90(f.interior))) == 0.0
-    full = f.embed()
-    assert np.max(np.abs(full[0, :])) == 0.0
-    assert np.max(np.abs(full[:, -1])) == 0.0
+    assert f[7, 7] == 6.0
+    assert np.max(np.abs(f - np.rot90(f))) == 0.0
+    # the default amplitude is the CLI's 6
+    assert np.array_equal(initial_guess(grid16, 2, "onepoint"), f)
+
+
+def test_eigenfunction_guess_solve_factors_d2_once(grid16, exp_nl, monkeypatch):
+    """The eigenfunction guess takes its ground state from the solve's own
+    fast diagonalization: one eig of D2 per solve."""
+    calls = []
+    eig = chebratu.pde2d.eig_general
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(chebratu.pde2d, "eig_general", counting)
+    sol = solve_2d(0.5, exp_nl, grid16, "eigenfunction", 0.1)
+    assert calls == [(15, 15)]
+    assert abs(sol.u_max - UMAX_SMALL_N16) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +243,16 @@ def test_small_solution_value_and_effort(small16):
     assert small16.trace.converged
     assert abs(small16.u_max - UMAX_SMALL_N16) < 1e-9
     assert small16.trace.iterations <= 6
+    # full-grid values [iy, ix] with an exact zero ring around the interior
+    assert small16.values.shape == (17, 17)
+    assert np.array_equal(small16.values[1:-1, 1:-1], small16.interior)
+    assert not small16.values[[0, -1], :].any() and not small16.values[:, [0, -1]].any()
+    assert small16.branch == "unknown" and small16.lam == 0.5
 
 
 def test_small_solution_grid_independent(exp_nl):
     grid = cheb_points(20, 1.0)
-    sol = solve_2d(0.5, exp_nl, grid, guess_eigenfunction(grid, 0.1))
+    sol = solve_2d(0.5, exp_nl, grid, "eigenfunction", 0.1)
     assert abs(sol.u_max - UMAX_SMALL_N20) < 1e-9
     assert abs(sol.u_max - UMAX_SMALL_N16) < 1e-9
 
@@ -244,7 +275,7 @@ def test_solve_matches_dense_reference(n, name):
     eps = 0.1 if name == "gelfand" else None
     ref, iterations = collocation_newton_2d(0.5, n, name, eps)
     grid = cheb_points(n, 1.0)
-    sol = solve_2d(0.5, make_nonlinearity(name, eps), grid, guess_eigenfunction(grid, 0.1))
+    sol = solve_2d(0.5, make_nonlinearity(name, eps), grid, "eigenfunction", 0.1)
     assert np.max(np.abs(sol.interior - ref)) <= 1e-10
     assert sol.trace.iterations == iterations
 
@@ -274,20 +305,20 @@ def test_solutions_inherit_square_symmetries(small16, big16):
 
 def test_sinh_zero_solution(grid16):
     nl = make_nonlinearity("sinh")
-    sol = solve_2d(0.5, nl, grid16, Field2D(grid=grid16, interior=np.zeros((15, 15))))
+    sol = solve_2d(0.5, nl, grid16, "zero")
     assert sol.trace.iterations == 1
     assert np.max(np.abs(sol.interior)) == 0.0
 
 
 def test_sinh_from_eigenfunction_guess_falls_to_zero(grid16):
     nl = make_nonlinearity("sinh")
-    sol = solve_2d(0.5, nl, grid16, guess_eigenfunction(grid16, 0.1))
+    sol = solve_2d(0.5, nl, grid16, "eigenfunction", 0.1)
     assert np.max(np.abs(sol.interior)) < 1e-12
 
 
 def test_cosh_solution(grid16):
     nl = make_nonlinearity("cosh")
-    sol = solve_2d(0.5, nl, grid16, Field2D(grid=grid16, interior=np.zeros((15, 15))))
+    sol = solve_2d(0.5, nl, grid16, np.zeros((15, 15)))
     assert sol.trace.converged
     assert abs(sol.u_max - 0.14833064246019098) < 1e-9
     assert np.max(np.abs(sol.interior - np.rot90(sol.interior))) < 1e-9
@@ -295,23 +326,24 @@ def test_cosh_solution(grid16):
 
 def test_gelfand_approaches_exp(grid16, exp_nl, small16):
     nl = make_nonlinearity("gelfand", 1e-6)
-    sol = solve_2d(0.5, nl, grid16, guess_eigenfunction(grid16, 0.1))
+    sol = solve_2d(0.5, nl, grid16, "eigenfunction", 0.1)
     assert np.max(np.abs(sol.interior - small16.interior)) < 1e-5
 
 
 def test_solve_above_fold_fails(grid16, exp_nl):
     # the one-point diagram peaks near 1.84; lam = 5 is far beyond the fold
     with pytest.raises(NewtonError) as info:
-        solve_2d(5.0, exp_nl, grid16, guess_eigenfunction(grid16, 0.1))
+        solve_2d(5.0, exp_nl, grid16, "eigenfunction", 0.1)
     assert info.value.trace is not None
 
 
 def test_solve_validation(grid16, exp_nl):
     with pytest.raises(InvalidArgumentError):
-        solve_2d(-0.1, exp_nl, grid16, guess_eigenfunction(grid16, 0.1))
+        solve_2d(-0.1, exp_nl, grid16, "eigenfunction", 0.1)
+    # a guess sampled on another grid
     other = cheb_points(12, 1.0)
     with pytest.raises(InvalidArgumentError):
-        solve_2d(0.5, exp_nl, grid16, guess_eigenfunction(other, 0.1))
+        solve_2d(0.5, exp_nl, grid16, _eigenfunction_guess(other, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +355,9 @@ def _cross_grid_residual(sol, n_extra=6):
     """Sup-norm of Lap u + lam e^u at the nodes of a finer grid."""
     fine = cheb_points(sol.grid.n + n_extra, sol.grid.half_width)
     interior = fine.points[1:-1]
-    # embed() is [iy, ix]; resampling both axes at the same targets keeps
+    # values is [iy, ix]; resampling both axes at the same targets keeps
     # that orientation, so the row-major flatten matches the operator
-    vals = barycentric_resample(sol.grid, sol.embed(), interior, interior)
+    vals = barycentric_resample(sol.grid, sol.values, interior, interior)
     lap = kron_laplacian(fine.n, fine.half_width)
     vec = vals.reshape(-1)
     resid = lap @ vec + sol.lam * np.exp(vec)
@@ -338,7 +370,7 @@ def test_cross_grid_residual_consistency(exp_nl):
     sups = {}
     for n in (14, 20):
         grid = cheb_points(n, 1.0)
-        sol = solve_2d(0.5, exp_nl, grid, guess_eigenfunction(grid, 0.1))
+        sol = solve_2d(0.5, exp_nl, grid, "eigenfunction", 0.1)
         sups[n], field = _cross_grid_residual(sol)
         if n == 20:
             m = field.shape[0]
@@ -355,7 +387,7 @@ def test_cross_grid_residual_consistency(exp_nl):
 )
 def test_cross_grid_residual_tight_bound(exp_nl):
     grid = cheb_points(20, 1.0)
-    sol = solve_2d(0.5, exp_nl, grid, guess_eigenfunction(grid, 0.1))
+    sol = solve_2d(0.5, exp_nl, grid, "eigenfunction", 0.1)
     sup, _ = _cross_grid_residual(sol)
     assert sup <= 1e-4
 
@@ -408,21 +440,3 @@ def test_onepoint_lambda():
     with pytest.raises(InvalidArgumentError):
         onepoint_lambda(-1.0)
 
-
-# ---------------------------------------------------------------------------
-# field views
-# ---------------------------------------------------------------------------
-
-
-def test_field_vector_matrix_round_trip(grid16):
-    rng = np.random.default_rng(55)
-    u = rng.uniform(-1.0, 1.0, (15, 15))
-    f = Field2D(grid=grid16, interior=u)
-    back = Field2D.from_vector(grid16, f.as_vector())
-    assert np.array_equal(back.interior, u)
-    full = f.embed()
-    assert np.array_equal(full[1:-1, 1:-1], u)
-    assert np.max(np.abs(full[[0, -1], :])) == 0.0
-    assert np.max(np.abs(full[:, [0, -1]])) == 0.0
-    with pytest.raises(InvalidArgumentError):
-        Field2D.from_vector(grid16, np.zeros(7))
