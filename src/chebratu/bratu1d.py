@@ -67,7 +67,6 @@ class BifurcationCurve:
     increasing; ``fold`` is the critical point ``(A*, lam*)``.
     """
 
-    half_width: float
     samples: list[tuple[float, float]]
     fold: tuple[float, float]
 
@@ -215,7 +214,6 @@ def bifurcation_curve(half_width: float = 1.0, samples: int = 400) -> Bifurcatio
     amps = a_max * np.arange(1, samples + 1) / samples
     lams = lambda_of_amplitude(amps, L)
     return BifurcationCurve(
-        half_width=L,
         samples=[(float(a), float(v)) for a, v in zip(amps, lams)],
         fold=fold,
     )
@@ -260,13 +258,13 @@ def stability_1d(sol: Solution) -> tuple[bool, float, EigenResult]:
     Forms ``M = -(D2 + lam diag(exp(u)))`` on the interior points, the
     negated Newton Jacobian :meth:`~chebratu.newton.DenseOperator.shifted`,
     and returns ``(stable, mu_min, spectrum)`` where ``mu_min`` is the
-    smallest real part of the spectrum and the solution is stable iff
-    ``mu_min > 0``.
+    smallest eigenvalue of the (real) spectrum and the solution is stable
+    iff ``mu_min > 0``.
     """
     if not sol.trace.converged:
         raise InvalidArgumentError("stability verdict requires a converged solution")
     operator = DenseOperator(second_diff_matrix(sol.grid).interior)
     m = -operator.shifted(_EXP.derivative(sol.lam, sol.interior))
     spectrum = eig_general(m, want_vectors=False)
-    mu_min = float(spectrum.values[0].real)
+    mu_min = float(spectrum.values[0])
     return mu_min > 0.0, mu_min, spectrum

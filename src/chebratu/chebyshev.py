@@ -76,20 +76,15 @@ class DiffMatrix:
 
     Attributes
     ----------
-    order : int
-        Derivative order (1 or 2).
-    n : int
-        Grid order; ``entries`` is ``(n + 1) x (n + 1)``.
     entries : ndarray
-        The full differentiation matrix.
+        The full ``(n + 1) x (n + 1)`` differentiation matrix of a grid of
+        order ``n``.
     interior : ndarray or None
-        For ``order == 2``, the ``(n - 1) x (n - 1)`` block obtained by
-        deleting the first and last rows and columns (homogeneous
-        Dirichlet restriction); ``None`` for ``order == 1``.
+        For a second derivative, the ``(n - 1) x (n - 1)`` block obtained
+        by deleting the first and last rows and columns (homogeneous
+        Dirichlet restriction); ``None`` for a first derivative.
     """
 
-    order: int
-    n: int
     entries: np.ndarray
     interior: np.ndarray | None = None
 
@@ -157,7 +152,7 @@ def diff_matrix(grid: Grid1D) -> DiffMatrix:
     share bitwise-identical reference entries.
     """
     D = _diff_matrix_reference(grid.n)
-    return DiffMatrix(order=1, n=grid.n, entries=_readonly(D / grid.half_width))
+    return DiffMatrix(entries=_readonly(D / grid.half_width))
 
 
 def second_diff_matrix(grid: Grid1D) -> DiffMatrix:
@@ -171,12 +166,7 @@ def second_diff_matrix(grid: Grid1D) -> DiffMatrix:
         raise InvalidArgumentError("second derivative needs grid order >= 2")
     D = _diff_matrix_reference(grid.n)
     D2 = (D @ D) / grid.half_width**2
-    return DiffMatrix(
-        order=2,
-        n=grid.n,
-        entries=_readonly(D2),
-        interior=_readonly(D2[1:-1, 1:-1]),
-    )
+    return DiffMatrix(entries=_readonly(D2), interior=_readonly(D2[1:-1, 1:-1]))
 
 
 # ---------------------------------------------------------------------------

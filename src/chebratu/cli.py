@@ -10,7 +10,8 @@ deterministic: the same argv produces byte-identical output.
 Exit codes: 0 success, 2 invalid arguments, 3 Newton failure of any
 kind (non-convergence, divergence or a singular Jacobian; the payload
 still carries the Newton trace), 4 any other numerical failure (such as
-an eigensolver that does not converge or a gelfand pole).
+an eigensolver that does not converge or finds a complex spectrum, or a
+gelfand pole).
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ import numpy as np
 
 from . import bratu1d, diagnostics, pde2d
 from .chebyshev import cheb_points
-from .errors import (
-    ChebratuError,
-    InsufficientDataError,
-    InvalidArgumentError,
-    NewtonError,
-    NoSolutionError,
-)
+from .errors import ChebratuError, InvalidArgumentError, NewtonError
 from .newton import NewtonConfig, convergence_order_estimate, make_nonlinearity
 
 __all__ = ["main", "run"]
@@ -59,7 +54,8 @@ def _add_common(p, *, lam=False, grid=False, guess_choices=None, newton=False,
                        help="gelfand perturbation (required with --nonlinearity gelfand)")
     if newton:
         p.add_argument("--tol", type=float, default=None,
-                       help="Newton update tolerance (default 1e-12)")
+                       help="Newton update tolerance (default 1e-12); the residual test "
+                            "(sup-norm <= 1e-10) usually stops the iteration first")
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None,
                        help="Newton iteration cap (default 25)")
     if samples is not None:
@@ -122,16 +118,12 @@ def _newton_config(args) -> NewtonConfig:
 
 
 def _trace_doc(trace) -> dict:
-    try:
-        order = convergence_order_estimate(trace)
-    except InsufficientDataError:
-        order = None
     return {
         "iterations": trace.iterations,
         "update_norms": list(trace.update_norms),
         "residual_norms": list(trace.residual_norms),
         "converged": trace.converged,
-        "order_estimate": order,
+        "order_estimate": convergence_order_estimate(trace),
     }
 
 
@@ -175,7 +167,7 @@ def _cmd_bifurcation_2d_approx(args):
 def _solve_payload(args, dim: int):
     """Run the 1D or 2D solve an invocation asks for.
 
-    Returns ``(solution, grid, failure, params)``.  On any Newton failure
+    Returns ``(solution, failure, params)``.  On any Newton failure
     ``solution`` is None and ``failure`` is the exit-3 payload, which
     carries the trace and the error message.
     """
@@ -206,16 +198,16 @@ def _solve_payload(args, dim: int):
             "newton": _trace_doc(exc.trace),
             "error": str(exc),
         }
-        return None, grid, doc, params
-    return sol, grid, None, params
+        return None, doc, params
+    return sol, None, params
 
 
 def _cmd_solve(args):
     dim = 1 if args.command == "solve-1d" else 2
-    sol, grid, failure, params = _solve_payload(args, dim)
+    sol, failure, params = _solve_payload(args, dim)
     if failure is not None:
         return 3, failure, None
-    decay = diagnostics.decay_report(grid, sol.values.T)
+    decay = diagnostics.decay_report(sol.grid, sol.values.T)
     rot90 = diagnostics.symmetry_report(sol.interior).rot90_dev if dim == 2 else None
     doc = {
         "params": params,
@@ -233,7 +225,7 @@ def _cmd_solve(args):
         },
     }
     # one row per grid point, x varying fastest: (x, u) or (x, y, u[iy, ix])
-    coords = [c.ravel().tolist() for c in np.meshgrid(*[grid.points] * dim)]
+    coords = [c.ravel().tolist() for c in np.meshgrid(*[sol.grid.points] * dim)]
     rows = list(zip(*coords, sol.values.ravel().tolist()))
     label = f"branch = {sol.branch}" if dim == 1 else f"nonlinearity = {args.nonlinearity}"
     comments = [f"lambda = {args.lam}  {label}"]
@@ -241,7 +233,7 @@ def _cmd_solve(args):
 
 
 def _cmd_stability_1d(args):
-    sol, grid, failure, params = _solve_payload(args, 1)
+    sol, failure, params = _solve_payload(args, 1)
     if failure is not None:
         return 3, failure, None
     stable, mu_min, spectrum = bratu1d.stability_1d(sol)
@@ -274,10 +266,10 @@ def _cmd_eig_2d(args):
 
 
 def _cmd_coeffs(args):
-    sol, grid, failure, params = _solve_payload(args, 1 if args.dim == "1d" else 2)
+    sol, failure, params = _solve_payload(args, 1 if args.dim == "1d" else 2)
     if failure is not None:
         return 3, failure, None
-    rep = diagnostics.decay_report(grid, sol.values.T)
+    rep = diagnostics.decay_report(sol.grid, sol.values.T)
     rows = [(*idx, float(v)) for idx, v in np.ndenumerate(rep.coeffs)]
     columns = ["k", "l"][:rep.coeffs.ndim] + ["abs_coeff"]
     doc = {
@@ -295,7 +287,7 @@ def _cmd_coeffs(args):
 
 
 def _cmd_symmetry(args):
-    sol, grid, failure, params = _solve_payload(args, 2)
+    sol, failure, params = _solve_payload(args, 2)
     if failure is not None:
         return 3, failure, None
     sym = diagnostics.symmetry_report(sol.interior)
@@ -375,7 +367,7 @@ def run(argv=None) -> int:
         code, doc, table = _HANDLERS[args.command](args)
         _write(_render(doc, table, args.format), args.output)
         return code
-    except (InvalidArgumentError, NoSolutionError) as exc:
+    except InvalidArgumentError as exc:
         print(f"chebratu: invalid request: {exc}", file=sys.stderr)
         return 2
     except ChebratuError as exc:

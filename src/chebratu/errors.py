@@ -22,10 +22,6 @@ class NoSolutionError(ChebratuError):
     """The requested object does not exist (e.g. amplitudes above the fold)."""
 
 
-class InsufficientDataError(ChebratuError):
-    """Not enough usable data to compute the requested estimate."""
-
-
 class SingularNonlinearityError(ChebratuError):
     """A nonlinearity was evaluated at a pole of its definition."""
 

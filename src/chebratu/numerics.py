@@ -1,10 +1,13 @@
-"""Linear-algebra kernels: LU and GMRES solves, general eigendecompositions.
+"""Linear-algebra kernels: LU and GMRES solves, real eigendecompositions.
 
 Thin, contract-enforcing wrappers over LAPACK (via numpy/scipy): partial
 pivoting with an explicit near-singularity check for the dense Newton
 inner solves, a preconditioned GMRES for the matrix-free ones, and a
 deterministically sorted and normalized eigendecomposition for the
 stability verdicts and the fast diagonalization of the 2D Laplacian.
+Both of those spectra are real (the Dirichlet Chebyshev ``D2`` has real,
+negative, distinct eigenvalues; Gottlieb & Lustman, 1983), so the
+eigendecomposition is real and treats a complex spectrum as a failure.
 """
 
 from __future__ import annotations
@@ -30,21 +33,23 @@ _GMRES_RTOL = 1e-13
 _GMRES_CHECK_RTOL = 1e-10
 _GMRES_RESTART = 40
 _GMRES_MAXITER = 200
+# a spectrum counts as real when no imaginary part exceeds this multiple of
+# the largest real part
+_IMAG_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Eigendecomposition with a deterministic ordering.
+    """Real eigendecomposition with a deterministic ordering.
 
     Attributes
     ----------
-    values : ndarray of complex
-        All eigenvalues, sorted by ascending real part (ties by ascending
-        imaginary part).
-    vectors : ndarray or None
+    values : ndarray of float
+        All eigenvalues, ascending (ties keep LAPACK's order).
+    vectors : ndarray of float or None
         Right eigenvectors, column ``k`` paired with ``values[k]``,
         normalized to unit sup-norm with the first significant component
-        rotated to the positive real axis.
+        positive.
     """
 
     values: np.ndarray
@@ -160,30 +165,19 @@ def gmres(apply, b, precondition):
     return x, done
 
 
-def _normalize_vectors(vectors: np.ndarray) -> np.ndarray:
-    """Unit sup-norm columns, first significant component made real positive."""
-    out = np.array(vectors, dtype=complex, copy=True)
-    for k in range(out.shape[1]):
-        v = out[:, k]
-        v /= np.abs(v).max()
-        mags = np.abs(v)
-        lead = int(np.argmax(mags > 1e-12 * mags.max()))
-        phase = v[lead] / abs(v[lead])
-        out[:, k] = v / phase
-    return out
-
-
 def eig_general(a, want_vectors: bool = True) -> EigenResult:
-    """All eigenvalues (and optionally right eigenvectors) of a real matrix.
+    """All eigenvalues (and optionally right eigenvectors) of a real matrix
+    with a real spectrum.
 
-    Eigenvalues are sorted by ascending real part so that the smallest
-    one is well-defined even when complex pairs occur; vectors are
-    normalized deterministically (see :class:`EigenResult`).
+    Eigenvalues are sorted ascending; vectors are normalized
+    deterministically (see :class:`EigenResult`).
 
     Raises
     ------
     NumericalFailureError
-        If the underlying QR iteration fails to converge.
+        If the underlying QR iteration fails to converge, or if an
+        eigenvalue has an imaginary part above ``1e-10`` times the largest
+        real part.
     """
     A = _as_square(a)
     try:
@@ -194,8 +188,12 @@ def eig_general(a, want_vectors: bool = True) -> EigenResult:
             vectors = None
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
+    if np.max(np.abs(values.imag)) > _IMAG_RTOL * np.max(np.abs(values.real)):
+        raise NumericalFailureError("spectrum is not real")
+    order = np.argsort(values.real, kind="stable")
     if vectors is not None:
-        vectors = _normalize_vectors(vectors[:, order])
-    return EigenResult(values=values, vectors=vectors)
+        vectors = vectors.real[:, order]
+        vectors /= np.max(np.abs(vectors), axis=0)
+        lead = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+        vectors *= np.sign(vectors[lead, np.arange(A.shape[0])])
+    return EigenResult(values=values.real[order], vectors=vectors)

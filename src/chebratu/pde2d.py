@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import Grid1D, second_diff_matrix
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError
 from .newton import NewtonConfig, Nonlinearity, Solution, initial_guess, solve_semilinear
 from .numerics import EigenResult, eig_general, gmres
 
@@ -91,17 +91,16 @@ def tensor_laplacian(grid: Grid1D) -> TensorLaplacian:
     Raises
     ------
     NumericalFailureError
-        If the computed spectrum of ``D2`` is not real (it is real and
-        negative for Chebyshev collocation).
+        From :func:`~chebratu.numerics.eig_general`, if the computed
+        spectrum of ``D2`` is not real (it is real and negative for
+        Chebyshev collocation).
     """
     if grid.n < 3:
         raise InvalidArgumentError("2D Laplacian needs grid order >= 3")
     d2 = second_diff_matrix(grid).interior
     eig = eig_general(d2)
-    if np.max(np.abs(eig.values.imag)) > 1e-10 * np.max(np.abs(eig.values.real)):
-        raise NumericalFailureError("second-derivative spectrum is unexpectedly complex")
-    vectors = eig.vectors.real[:, ::-1]
-    return TensorLaplacian(d2=d2, values=eig.values.real[::-1], vectors=vectors,
+    vectors = eig.vectors[:, ::-1]
+    return TensorLaplacian(d2=d2, values=eig.values[::-1], vectors=vectors,
                            inverse=np.linalg.inv(vectors))
 
 
@@ -122,7 +121,7 @@ def laplacian_eigs(grid: Grid1D, k: int) -> EigenResult:
     vectors = np.einsum("ak,bk->abk", lap.vectors[:, iy], lap.vectors[:, ix]).reshape(m * m, k)
     lead = np.argmax(np.abs(vectors) > 1e-12, axis=0)
     vectors *= np.sign(vectors[lead, np.arange(k)])
-    return EigenResult(values=sums[order].astype(complex), vectors=vectors)
+    return EigenResult(values=sums[order], vectors=vectors)
 
 
 def onepoint_lambda(amplitude):

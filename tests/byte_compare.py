@@ -6,14 +6,21 @@ Usage::
 
 Each tree's ``src/`` is imported in a subprocess of its own, which runs a
 fixed list of argv through ``chebratu.cli.run`` and reports, per request,
-the exit code and the SHA-256 of the output (stdout, or the ``--output``
-file).  Every request whose exit code or output bytes differ is printed;
-the exit status is 1 if any differ.  Messages on stderr are not compared.
+the exit code and the output (stdout, then the ``--output`` file).  Every
+request whose exit code or output bytes differ is printed; the exit status
+is 1 if any differ.  Messages on stderr are not compared.
+
+Each differing request whose two outputs are both JSON is also compared
+number by number: any change in the Newton iteration count is printed,
+and so is the largest absolute difference under each key path that has
+one, list indices collapsed to ``[]`` (``solution.grid_values[][]``).  A
+last table gives the largest difference per key path over the requests
+that exit 0 in both trees.
 
 The list covers all eight subcommands in json, csv and dat; n = 7, 12, 13,
-15, 16 and 32; the exp, gelfand, cosh and sinh terms; both branches;
-``file:`` guesses in both dimensions; and the exit-2 and exit-3 requests
-of ``tests/test_cli.py``.  Guess files are written to a temporary
+15, 16, 32, 48 and 64; the exp, gelfand, cosh and sinh terms; both
+branches; ``file:`` guesses in both dimensions; and the exit-2 and exit-3
+requests of ``tests/test_cli.py``.  Guess files are written to a temporary
 directory shared by both runs, so their paths, which the outputs record,
 agree.  pytest does not collect this file.
 """
@@ -22,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -77,6 +83,11 @@ def requests(tmp: Path) -> list[list[str]]:
         for n in ("7", "12", "13", "16"):
             reqs.append(["eig-2d", "--n", n, "--samples", "6", *f])
         reqs.append(["eig-2d", *f])
+        for n in ("32", "48"):
+            reqs.append(["eig-2d", "--n", n, "--samples", "40", *f])
+        for n in ("48", "64"):
+            reqs.append(["stability-1d", "--lambda", "0.5", "--n", n, *f])
+            reqs.append(["stability-1d", "--lambda", "0.5", "--n", n, "--guess", "onepoint", *f])
         for n in ("7", "12", "13", "15", "16", "32"):
             for lam in ("0.1", "0.25", "0.5", "0.87"):
                 reqs.append(["solve-1d", "--lambda", lam, "--n", n, *f])
@@ -156,6 +167,10 @@ def requests(tmp: Path) -> list[list[str]]:
         ["solve-1d", "--lambda", "0.25", "--tol", "0"],
         ["eig-2d", "--samples", "0"],
     ]
+    for command in ("solve-1d", "solve-2d"):
+        for amplitude in ("nan", "inf"):
+            reqs.append([command, "--lambda", "0.25", "--guess", "onepoint",
+                         "--amplitude", amplitude])
     # --output writes a file instead of stdout
     for k, fmt in enumerate(FORMATS):
         reqs.append(["solve-2d", "--lambda", "0.5", "--n", "12", "--format", fmt,
@@ -166,7 +181,7 @@ def requests(tmp: Path) -> list[list[str]]:
 
 
 def _serve(reqs) -> list:
-    """Run every request in this process; ``[exit code, sha256 of output]``."""
+    """Run every request in this process; ``[exit code, output text]``."""
     from chebratu.cli import run
 
     results = []
@@ -174,21 +189,74 @@ def _serve(reqs) -> list:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = run(argv)
-        text = out.getvalue().encode("utf-8")
+        text = out.getvalue()
         if "--output" in argv:
             path = Path(argv[argv.index("--output") + 1])
             if path.is_file():
-                text += path.read_bytes()
+                text += path.read_text(encoding="utf-8")
                 path.unlink()
-        results.append([code, hashlib.sha256(text).hexdigest()])
+        results.append([code, text])
     return results
 
 
 def _run_tree(tree: Path, request_file: Path) -> list:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out = subprocess.run([sys.executable, __file__, "--serve", str(request_file)],
-                         env=env, capture_output=True, text=True, check=True)
+    argv = [sys.executable, __file__, "--serve", str(request_file)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def _as_json(text):
+    try:
+        return json.loads(text)
+    except (TypeError, ValueError):
+        return None
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _differences(a, b, path: str, out: dict) -> None:
+    """Largest absolute difference of ``a`` and ``b`` under each key path,
+    into ``out``; a change of type, keys or list length is ``"changed"``."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            _differences(a[key], b[key], f"{path}.{key}" if path else key, out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            _differences(x, y, path + "[]", out)
+    elif _is_number(a) and _is_number(b):
+        diff = 0.0 if a == b or (a != a and b != b) else abs(a - b)
+        out[path] = _merge(out.get(path, 0.0), diff if diff == diff else "changed")
+    elif a != b:
+        out[path] = "changed"
+
+
+def _merge(old, new):
+    """The larger of two differences, ``"changed"`` above every number."""
+    return "changed" if "changed" in (old, new) else max(old, new)
+
+
+def _newton_iterations(doc):
+    newton = doc.get("newton") if isinstance(doc, dict) else None
+    return newton.get("iterations") if isinstance(newton, dict) else None
+
+
+def _print_numeric(code_a, code_b, text_a, text_b, overall: dict) -> None:
+    a, b = _as_json(text_a), _as_json(text_b)
+    if a is None or b is None:
+        return
+    its = _newton_iterations(a), _newton_iterations(b)
+    if its[0] != its[1]:
+        print(f"    newton iterations {its[0]} -> {its[1]}")
+    diffs = {}
+    _differences(a, b, "", diffs)
+    for path, diff in sorted(diffs.items()):
+        if diff != 0.0:
+            print(f"    {path}: {diff if diff == 'changed' else format(diff, '.3e')}")
+            if code_a == code_b == 0:
+                overall[path] = _merge(overall.get(path, 0.0), diff)
 
 
 def main(argv=None) -> int:
@@ -209,13 +277,19 @@ def main(argv=None) -> int:
         before = _run_tree(args.parent.resolve(), request_file)
         after = _run_tree(args.change.resolve(), request_file)
     differ = 0
-    for argv, (code_a, sha_a), (code_b, sha_b) in zip(reqs, before, after):
-        if code_a != code_b or sha_a != sha_b:
+    overall = {}
+    for argv, (code_a, text_a), (code_b, text_b) in zip(reqs, before, after):
+        if code_a != code_b or text_a != text_b:
             differ += 1
             print(f"DIFFER exit {code_a} -> {code_b}, output "
-                  f"{'same' if sha_a == sha_b else 'changed'}: {' '.join(argv)}")
+                  f"{'same' if text_a == text_b else 'changed'}: {' '.join(argv)}")
+            _print_numeric(code_a, code_b, text_a, text_b, overall)
     codes = dict(sorted(Counter(code for code, _ in before).items()))
     print(f"{len(reqs)} requests (parent exit code: count {codes}), {differ} differ")
+    if overall:
+        print("largest difference per key path, requests that exit 0 in both trees:")
+        for path, diff in sorted(overall.items()):
+            print(f"    {path}: {diff if diff == 'changed' else format(diff, '.3e')}")
     return 1 if differ else 0
 
 

@@ -196,10 +196,10 @@ def test_criterion_05_2d_linear_eigenvalues():
     t0 = time.perf_counter()
     res = laplacian_eigs(cheb_points(24, np.pi / 2.0), 10)
     expect = np.array([2, 5, 5, 8, 10, 10, 13, 13, 17, 17], dtype=float)
-    err = np.max(np.abs(res.values.real - expect))
+    err = np.max(np.abs(res.values - expect))
     checks = [
         (f"first ten side-pi eigenvalues within 1e-8 (max err {err:.2e})", err <= 1e-8),
-        ("imaginary parts within 1e-8", np.max(np.abs(res.values.imag)) <= 1e-8),
+        ("real spectrum (float64 eigenvalues)", res.values.dtype == np.float64),
     ]
     _finish(5, "2d-linear-eigenvalues", t0, 30.0, checks)
 

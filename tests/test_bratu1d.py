@@ -288,6 +288,9 @@ def test_solve_validation(grid32):
         solve_1d(0.25, grid32, guess="mystery")
     with pytest.raises(InvalidArgumentError):
         solve_1d(0.25, grid32, guess=np.zeros(5))
+    for amplitude in (np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            solve_1d(0.25, grid32, guess="onepoint", amplitude=amplitude)
 
 
 def test_branch_dichotomy_sweep():

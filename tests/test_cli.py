@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,8 +130,9 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
                 "--epsilon", "0.3"]) == 2
     assert run(["solve-1d", "--lambda", "0.25",
                 "--output", str(tmp_path / "no" / "dir.json")]) == 2
-    # guesses: the eigenfunction is 2D only, names are checked, its
-    # amplitude must be positive and a file must match the grid
+    # guesses: the eigenfunction is 2D only, names are checked, an
+    # amplitude must be finite (the eigenfunction's also positive) and a
+    # file must match the grid
     bad_1d = tmp_path / "bad1.txt"
     np.savetxt(bad_1d, np.zeros(10))
     bad_2d = tmp_path / "bad2.txt"
@@ -140,9 +142,23 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
                  ["solve-2d", "--guess", "mystery"],
                  ["solve-2d", "--guess", "eigenfunction", "--amplitude", "0"],
                  ["symmetry", "--guess", "eigenfunction", "--amplitude", "-1"],
-                 ["solve-2d", "--guess", f"file:{bad_2d}"]):
-        assert run(argv[:1] + ["--lambda", "0.25"] + argv[1:]) == 2, argv
+                 ["solve-2d", "--guess", f"file:{bad_2d}"],
+                 ["solve-1d", "--guess", "onepoint", "--amplitude", "nan"],
+                 ["solve-1d", "--guess", "onepoint", "--amplitude", "inf"],
+                 ["solve-2d", "--guess", "onepoint", "--amplitude", "nan"],
+                 ["solve-2d", "--guess", "onepoint", "--amplitude", "inf"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv[:1] + ["--lambda", "0.25"] + argv[1:]) == 2, argv
     capsys.readouterr()
+
+
+def test_onepoint_guess_takes_zero_and_negative_amplitudes(tmp_path):
+    for command in ("solve-1d", "solve-2d"):
+        for amplitude in ("0", "-1"):
+            doc = _run_json([command, "--lambda", "0.25", "--guess", "onepoint",
+                             "--amplitude", amplitude], tmp_path)
+            assert doc["newton"]["converged"] is True
 
 
 def test_argparse_failures_exit_2(capsys):

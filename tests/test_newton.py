@@ -16,7 +16,6 @@ from chebratu import (
 )
 from chebratu.errors import (
     DivergenceError,
-    InsufficientDataError,
     InvalidArgumentError,
     NewtonError,
     NonConvergenceError,
@@ -130,8 +129,6 @@ def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         NewtonConfig(tol_update=0.0)
     with pytest.raises(InvalidArgumentError):
-        NewtonConfig(tol_residual=-1.0)
-    with pytest.raises(InvalidArgumentError):
         NewtonConfig(max_iter=0)
 
 
@@ -147,10 +144,8 @@ def test_order_estimate_examples():
 def test_order_estimate_insufficient_data():
     t = NewtonTrace(update_norms=[1e-1, 1e-15, 1e-16], residual_norms=[0, 0, 0],
                     iterations=3, converged=True)
-    with pytest.raises(InsufficientDataError):
-        convergence_order_estimate(t)
-    with pytest.raises(InsufficientDataError):
-        convergence_order_estimate(NewtonTrace())
+    assert convergence_order_estimate(t) is None
+    assert convergence_order_estimate(NewtonTrace()) is None
 
 
 def test_shipped_jacobians_match_finite_differences():
@@ -208,6 +203,8 @@ def test_initial_guess_names_and_arrays(ndim):
     factor = 1.0 - (grid.points[1:-1] / 2.0) ** 2
     assert np.array_equal(initial_guess(grid, ndim, "onepoint", 3.0), 3.0 * _tensor(factor, ndim))
     assert np.array_equal(initial_guess(grid, ndim, "onepoint"), 6.0 * _tensor(factor, ndim))
+    assert np.array_equal(initial_guess(grid, ndim, "onepoint", -1.0), -_tensor(factor, ndim))
+    assert not initial_guess(grid, ndim, "onepoint", 0.0).any()
 
     full = np.random.default_rng(7).uniform(-1.0, 1.0, (13,) * ndim)
     from_full = initial_guess(grid, ndim, full)
@@ -238,9 +235,15 @@ def test_initial_guess_rejects(ndim):
     for guess in bad:
         with pytest.raises(InvalidArgumentError):
             initial_guess(grid, ndim, guess, None, ground)
+    for amplitude in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            initial_guess(grid, ndim, "onepoint", amplitude)
     if ndim == 2:
-        for amplitude in (0.0, -1.0, np.nan):
-            with pytest.raises(InvalidArgumentError):
+        for amplitude in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                initial_guess(grid, 2, "eigenfunction", amplitude, ground)
+        for amplitude in (0.0, -1.0):
+            with pytest.raises(InvalidArgumentError, match="positive"):
                 initial_guess(grid, 2, "eigenfunction", amplitude, ground)
 
 

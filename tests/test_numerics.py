@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from chebratu import eig_general, gmres, lu_solve
-from chebratu.errors import InvalidArgumentError, SingularMatrixError
+from chebratu import cheb_points, eig_general, gmres, lu_solve, second_diff_matrix
+from chebratu.errors import InvalidArgumentError, NumericalFailureError, SingularMatrixError
 from chebratu.numerics import _GMRES_MAXITER, _GMRES_RTOL
+
+
+def _real_spectrum(rng, m):
+    """``S diag(w) S^-1`` with distinct real eigenvalues ``w`` in [-2, 2]."""
+    w = rng.permutation(np.linspace(-2.0, 2.0, m)) + rng.uniform(-0.01, 0.01, m)
+    s = rng.uniform(-1.0, 1.0, (m, m)) + m * np.eye(m)
+    return s @ np.diag(w) @ np.linalg.inv(s)
 
 
 def _well_conditioned(rng, m):
@@ -100,28 +107,42 @@ def test_eig_symmetric_2x2():
 
 
 def test_eig_rotation_generator():
-    res = eig_general(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert np.allclose(res.values.real, [0.0, 0.0], atol=1e-14)
-    assert np.allclose(res.values.imag, [-1.0, 1.0], atol=1e-14)
+    # eigenvalues +-i: a complex spectrum is a numerical failure
+    with pytest.raises(NumericalFailureError):
+        eig_general(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    with pytest.raises(NumericalFailureError):
+        eig_general(np.array([[0.0, -1.0], [1.0, 0.0]]), want_vectors=False)
 
 
 def test_eig_vector_normalization():
     rng = np.random.default_rng(9)
-    a = rng.uniform(-1.0, 1.0, (8, 8))
+    a = _real_spectrum(rng, 8)
     res = eig_general(a)
     for k in range(8):
         v = res.vectors[:, k]
         assert abs(np.max(np.abs(v)) - 1.0) < 1e-13
         lead = np.nonzero(np.abs(v) > 1e-12)[0][0]
-        assert v[lead].real > 0.0
-        assert abs(v[lead].imag) < 1e-13
+        assert v[lead] > 0.0
+
+
+@pytest.mark.parametrize("n", [7, 16, 48])
+def test_eig_of_chebyshev_d2_is_real_and_normalized(n):
+    d2 = second_diff_matrix(cheb_points(n)).interior
+    res = eig_general(d2)
+    assert res.values.dtype == np.float64
+    assert res.vectors.dtype == np.float64
+    assert np.all(np.diff(res.values) >= 0.0) and res.values[-1] < 0.0
+    for k in range(n - 1):
+        v = res.vectors[:, k]
+        assert np.max(np.abs(v)) == 1.0
+        assert v[np.argmax(np.abs(v) > 1e-12)] > 0.0
 
 
 def test_eig_residual_trace_transpose_properties():
     rng = np.random.default_rng(21)
     for _ in range(100):
         m = int(rng.integers(2, 31))
-        a = rng.uniform(-2.0, 2.0, (m, m))
+        a = _real_spectrum(rng, m)
         norm_a = np.max(np.sum(np.abs(a), axis=1))
         res = eig_general(a)
         tol = 1e-8 * norm_a
