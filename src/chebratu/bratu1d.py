@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chebyshev import Grid1D, second_diff_matrix
-from .errors import InvalidArgumentError, NoSolutionError
+from .errors import InvalidArgumentError
 from .newton import (
     DenseOperator,
     NewtonConfig,
@@ -184,18 +184,15 @@ def branch_amplitudes(lam: float, half_width: float = 1.0) -> tuple[float, float
 
     Raises
     ------
-    NoSolutionError
-        For ``lam >= lam*`` (no pair of solutions exists).
     InvalidArgumentError
-        For ``lam <= 0`` (outside the two-solution regime).
+        Unless ``0 < lam < lam*`` (outside the two-solution regime; this
+        includes a non-finite ``lam``).
     """
     L = _check_half_width(half_width)
-    if not np.isfinite(lam) or lam <= 0.0:
-        raise InvalidArgumentError("branch amplitudes exist only for 0 < lam < lam*")
     lam_star = critical_point(L)[1]
-    if lam >= lam_star:
-        raise NoSolutionError(
-            f"no solutions for lam = {lam!r} at or above the fold lam* = {lam_star!r}"
+    if not 0.0 < lam < lam_star:
+        raise InvalidArgumentError(
+            f"branch amplitudes exist only for 0 < lam < lam* = {lam_star!r}, got {lam!r}"
         )
     s = L * math.sqrt(lam) / math.sqrt(2.0)
     b_small = _solve_b_sech_b(s, s, min(s * math.cosh(_FOLD_B), _FOLD_B))

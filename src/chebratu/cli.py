@@ -32,19 +32,19 @@ from .newton import NewtonConfig, convergence_order_estimate, make_nonlinearity
 __all__ = ["main", "run"]
 
 
-def _add_common(p, *, lam=False, grid=False, guess_choices=None, newton=False,
-                nonlinearity=False, samples=None):
-    if lam:
+def _add_common(p, *, guesses=None, nonlinearity=False, samples=None):
+    """The flags shared by subcommands.  ``guesses``, the guess names with
+    the default first, marks a solve: it adds the lambda, grid, guess and
+    Newton flags."""
+    if guesses:
         p.add_argument("--lambda", dest="lam", type=float, required=True,
                        help="bifurcation parameter")
-    if grid:
         p.add_argument("--L", dest="half_width", type=float, default=1.0,
                        help="domain half-width (default 1)")
         p.add_argument("--n", dest="n", type=int, default=None,
                        help="grid order (default 32 in 1D, 16 in 2D)")
-    if guess_choices:
-        p.add_argument("--guess", default=guess_choices[0],
-                       help=f"initial guess: one of {guess_choices} or file:PATH")
+        p.add_argument("--guess", default=guesses[0],
+                       help=f"initial guess: one of {guesses} or file:PATH")
         p.add_argument("--amplitude", type=float, default=None,
                        help="guess amplitude (default 6 for onepoint, 0.1 for eigenfunction)")
     if nonlinearity:
@@ -52,7 +52,7 @@ def _add_common(p, *, lam=False, grid=False, guess_choices=None, newton=False,
                        choices=["exp", "gelfand", "cosh", "sinh"])
         p.add_argument("--epsilon", type=float, default=None,
                        help="gelfand perturbation (required with --nonlinearity gelfand)")
-    if newton:
+    if guesses:
         p.add_argument("--tol", type=float, default=None,
                        help="Newton update tolerance (default 1e-12); the residual test "
                             "(sup-norm <= 1e-10) usually stops the iteration first")
@@ -70,16 +70,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Chebyshev collocation solvers for Bratu-type problems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a solve subcommand sets ``dim`` ("1d" or "2d"); 1D solves use only exp
+    one_d = {"dim": "1d", "nonlinearity": "exp", "epsilon": None}
 
     p = sub.add_parser("bifurcation-1d", help="closed-form 1D curve and fold")
     p.add_argument("--L", dest="half_width", type=float, default=1.0)
     _add_common(p, samples=400)
 
     p = sub.add_parser("solve-1d", help="solve the 1D problem")
-    _add_common(p, lam=True, grid=True, guess_choices=["zero", "onepoint"], newton=True)
+    _add_common(p, guesses=["zero", "onepoint"])
+    p.set_defaults(**one_d)
 
     p = sub.add_parser("stability-1d", help="solve and classify linear stability")
-    _add_common(p, lam=True, grid=True, guess_choices=["zero", "onepoint"], newton=True)
+    _add_common(p, guesses=["zero", "onepoint"])
+    p.set_defaults(**one_d)
 
     p = sub.add_parser("eig-2d", help="eigenvalues of the 2D Dirichlet Laplacian")
     p.add_argument("--L", dest="half_width", type=float, default=1.0)
@@ -87,34 +91,21 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, samples=10)
 
     p = sub.add_parser("solve-2d", help="solve the 2D problem")
-    _add_common(p, lam=True, grid=True,
-                guess_choices=["eigenfunction", "onepoint", "zero"],
-                newton=True, nonlinearity=True)
+    _add_common(p, guesses=["eigenfunction", "onepoint", "zero"], nonlinearity=True)
+    p.set_defaults(dim="2d")
 
     p = sub.add_parser("bifurcation-2d-approx", help="one-point 2D diagram estimate")
     _add_common(p, samples=400)
 
     p = sub.add_parser("coeffs", help="coefficient-decay report of a solve")
     p.add_argument("dim", choices=["1d", "2d"])
-    _add_common(p, lam=True, grid=True,
-                guess_choices=["zero", "onepoint", "eigenfunction"],
-                newton=True, nonlinearity=True)
+    _add_common(p, guesses=["zero", "onepoint", "eigenfunction"], nonlinearity=True)
 
     p = sub.add_parser("symmetry", help="symmetry report of a 2D solve")
-    _add_common(p, lam=True, grid=True,
-                guess_choices=["eigenfunction", "onepoint", "zero"],
-                newton=True, nonlinearity=True)
+    _add_common(p, guesses=["eigenfunction", "onepoint", "zero"], nonlinearity=True)
+    p.set_defaults(dim="2d")
 
     return parser
-
-
-def _newton_config(args) -> NewtonConfig:
-    kwargs = {}
-    if getattr(args, "tol", None) is not None:
-        kwargs["tol_update"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        kwargs["max_iter"] = args.max_iter
-    return NewtonConfig(**kwargs)
 
 
 def _trace_doc(trace) -> dict:
@@ -127,15 +118,21 @@ def _trace_doc(trace) -> dict:
     }
 
 
+def _spectrum(values):
+    """A real spectrum as ``[value, 0.0]`` pairs, and as ``(k, value, 0.0)``
+    rows for the csv and dat tables."""
+    pairs = [[float(v), 0.0] for v in values]
+    return pairs, [(k, *pair) for k, pair in enumerate(pairs)]
+
+
 # --------------------------------------------------------------------------
 # command handlers: each returns (exit_code, doc, table)
-# table = (comment_lines, column_names, rows) or None for json-only payloads
+# table = (comment_lines, column_names, rows) or None for json-only payloads;
+# a solve subcommand's handler is _solving(report) with report(args, sol, params)
 # --------------------------------------------------------------------------
 
 
 def _cmd_bifurcation_1d(args):
-    if args.samples < 2:
-        raise InvalidArgumentError("--samples must be at least 2")
     curve = bratu1d.bifurcation_curve(args.half_width, args.samples)
     doc = {
         "params": {"L": args.half_width, "samples": args.samples},
@@ -164,50 +161,50 @@ def _cmd_bifurcation_2d_approx(args):
     return 0, doc, (comments, ["A", "lambda"], doc["samples"])
 
 
-def _solve_payload(args, dim: int):
-    """Run the 1D or 2D solve an invocation asks for.
-
-    Returns ``(solution, failure, params)``.  On any Newton failure
-    ``solution`` is None and ``failure`` is the exit-3 payload, which
-    carries the trace and the error message.
-    """
-    name = getattr(args, "nonlinearity", "exp")
-    if dim == 1 and name != "exp":
-        raise InvalidArgumentError(f"1D solves support only the exp nonlinearity, got {name!r}")
-    n = args.n if args.n is not None else (32 if dim == 1 else 16)
-    grid = cheb_points(n, args.half_width)
-    guess = np.loadtxt(args.guess[5:]) if args.guess.startswith("file:") else args.guess
-    params = {
-        "lambda": args.lam,
-        "L": args.half_width,
-        "n": n,
-        "guess": args.guess,
-        "nonlinearity": name,
-        "epsilon": getattr(args, "epsilon", None),
-    }
-    try:
-        if dim == 1:
-            sol = bratu1d.solve_1d(args.lam, grid, guess, args.amplitude, _newton_config(args))
-        else:
-            sol = pde2d.solve_2d(args.lam, make_nonlinearity(name, args.epsilon), grid, guess,
-                                 args.amplitude, _newton_config(args))
-    except NewtonError as exc:
-        doc = {
-            "params": params,
-            "solution": None,
-            "newton": _trace_doc(exc.trace),
-            "error": str(exc),
+def _solving(report):
+    """The handler of a solve subcommand: run the 1D or 2D solve the
+    invocation asks for and pass it on as ``report(args, solution,
+    params)``.  On any Newton failure the handler returns exit 3 instead,
+    with the Newton trace and the error message."""
+    def handler(args):
+        if args.dim == "1d" and args.nonlinearity != "exp":
+            raise InvalidArgumentError(
+                f"1D solves support only the exp nonlinearity, got {args.nonlinearity!r}"
+            )
+        n = args.n if args.n is not None else (32 if args.dim == "1d" else 16)
+        grid = cheb_points(n, args.half_width)
+        guess = np.loadtxt(args.guess[5:]) if args.guess.startswith("file:") else args.guess
+        params = {
+            "lambda": args.lam,
+            "L": args.half_width,
+            "n": n,
+            "guess": args.guess,
+            "nonlinearity": args.nonlinearity,
+            "epsilon": args.epsilon,
         }
-        return None, doc, params
-    return sol, None, params
+        stops = {"tol_update": args.tol, "max_iter": args.max_iter}
+        config = NewtonConfig(**{key: v for key, v in stops.items() if v is not None})
+        try:
+            if args.dim == "1d":
+                sol = bratu1d.solve_1d(args.lam, grid, guess, args.amplitude, config)
+            else:
+                sol = pde2d.solve_2d(args.lam, make_nonlinearity(args.nonlinearity, args.epsilon),
+                                     grid, guess, args.amplitude, config)
+        except NewtonError as exc:
+            doc = {
+                "params": params,
+                "solution": None,
+                "newton": _trace_doc(exc.trace),
+                "error": str(exc),
+            }
+            return 3, doc, None
+        return report(args, sol, params)
+    return handler
 
 
-def _cmd_solve(args):
-    dim = 1 if args.command == "solve-1d" else 2
-    sol, failure, params = _solve_payload(args, dim)
-    if failure is not None:
-        return 3, failure, None
+def _cmd_solve(args, sol, params):
     decay = diagnostics.decay_report(sol.grid, sol.values.T)
+    dim = sol.values.ndim
     rot90 = diagnostics.symmetry_report(sol.interior).rot90_dev if dim == 2 else None
     doc = {
         "params": params,
@@ -232,12 +229,9 @@ def _cmd_solve(args):
     return 0, doc, (comments, ["x", "y"][:dim] + ["u"], rows)
 
 
-def _cmd_stability_1d(args):
-    sol, failure, params = _solve_payload(args, 1)
-    if failure is not None:
-        return 3, failure, None
+def _cmd_stability_1d(args, sol, params):
     stable, mu_min, spectrum = bratu1d.stability_1d(sol)
-    eigs = [[float(v.real), float(v.imag)] for v in spectrum.values]
+    eigs, rows = _spectrum(spectrum.values)
     doc = {
         "params": params,
         "solution": {
@@ -248,27 +242,21 @@ def _cmd_stability_1d(args):
         "stability": {"stable": stable, "mu_min": mu_min, "eigenvalues": eigs},
         "newton": _trace_doc(sol.trace),
     }
-    rows = [(k, re, im) for k, (re, im) in enumerate(eigs)]
     comments = [f"stable = {stable}  mu_min = {mu_min:.16e}"]
     return 0, doc, (comments, ["k", "mu_real", "mu_imag"], rows)
 
 
 def _cmd_eig_2d(args):
     grid = cheb_points(args.n, args.half_width)
-    res = pde2d.laplacian_eigs(grid, args.samples)
-    eigs = [[float(v.real), float(v.imag)] for v in res.values]
+    eigs, rows = _spectrum(pde2d.laplacian_eigs(grid, args.samples).values)
     doc = {
         "params": {"L": args.half_width, "n": args.n, "count": args.samples},
         "eigenvalues": eigs,
     }
-    rows = [(k, re, im) for k, (re, im) in enumerate(eigs)]
     return 0, doc, ([], ["k", "eig_real", "eig_imag"], rows)
 
 
-def _cmd_coeffs(args):
-    sol, failure, params = _solve_payload(args, 1 if args.dim == "1d" else 2)
-    if failure is not None:
-        return 3, failure, None
+def _cmd_coeffs(args, sol, params):
     rep = diagnostics.decay_report(sol.grid, sol.values.T)
     rows = [(*idx, float(v)) for idx, v in np.ndenumerate(rep.coeffs)]
     columns = ["k", "l"][:rep.coeffs.ndim] + ["abs_coeff"]
@@ -286,10 +274,7 @@ def _cmd_coeffs(args):
     return 0, doc, ([], columns, rows)
 
 
-def _cmd_symmetry(args):
-    sol, failure, params = _solve_payload(args, 2)
-    if failure is not None:
-        return 3, failure, None
+def _cmd_symmetry(args, sol, params):
     sym = diagnostics.symmetry_report(sol.interior)
     doc = {
         "params": params,
@@ -313,13 +298,13 @@ def _cmd_symmetry(args):
 
 _HANDLERS = {
     "bifurcation-1d": _cmd_bifurcation_1d,
-    "solve-1d": _cmd_solve,
-    "stability-1d": _cmd_stability_1d,
+    "solve-1d": _solving(_cmd_solve),
+    "stability-1d": _solving(_cmd_stability_1d),
     "eig-2d": _cmd_eig_2d,
-    "solve-2d": _cmd_solve,
+    "solve-2d": _solving(_cmd_solve),
     "bifurcation-2d-approx": _cmd_bifurcation_2d_approx,
-    "coeffs": _cmd_coeffs,
-    "symmetry": _cmd_symmetry,
+    "coeffs": _solving(_cmd_coeffs),
+    "symmetry": _solving(_cmd_symmetry),
 }
 
 

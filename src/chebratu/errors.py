@@ -18,10 +18,6 @@ class SingularMatrixError(ChebratuError):
     """A linear system is exactly or numerically singular."""
 
 
-class NoSolutionError(ChebratuError):
-    """The requested object does not exist (e.g. amplitudes above the fold)."""
-
-
 class SingularNonlinearityError(ChebratuError):
     """A nonlinearity was evaluated at a pole of its definition."""
 

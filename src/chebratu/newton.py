@@ -88,9 +88,13 @@ class NewtonTrace:
 
     update_norms: list[float] = field(default_factory=list)
     residual_norms: list[float] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
     linear_iterations: list[int] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        """The number of completed iterations, ``len(update_norms)``."""
+        return len(self.update_norms)
 
 
 def _lu_step(jacobian, rhs):
@@ -143,7 +147,6 @@ def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = Non
         return NewtonTrace(
             update_norms=list(update_norms),
             residual_norms=list(residual_norms),
-            iterations=len(update_norms),
             converged=converged,
             linear_iterations=list(linear_iterations),
         )

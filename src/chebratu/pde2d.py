@@ -108,8 +108,10 @@ def laplacian_eigs(grid: Grid1D, k: int) -> EigenResult:
     """First ``k`` eigenpairs of ``-Lap``, sorted ascending.
 
     Eigenvalue ``-(w_i + w_j)`` pairs with the field ``outer(V[:, i],
-    V[:, j])`` (``i`` along y), flattened x-fastest and signed so that its
-    first significant entry is positive; ties keep ``(i, j)`` order.
+    V[:, j])`` (``i`` along y), flattened x-fastest; ties keep ``(i, j)``
+    order.  Both factors have unit sup-norm and a positive first
+    significant entry (:func:`~chebratu.numerics.eig_general`), so the
+    field has them too.
     """
     m = grid.n - 1
     if not 1 <= k <= m * m:
@@ -119,8 +121,6 @@ def laplacian_eigs(grid: Grid1D, k: int) -> EigenResult:
     order = np.argsort(sums, kind="stable")[:k]
     iy, ix = np.divmod(order, m)
     vectors = np.einsum("ak,bk->abk", lap.vectors[:, iy], lap.vectors[:, ix]).reshape(m * m, k)
-    lead = np.argmax(np.abs(vectors) > 1e-12, axis=0)
-    vectors *= np.sign(vectors[lead, np.arange(k)])
     return EigenResult(values=sums[order], vectors=vectors)
 
 

@@ -19,8 +19,9 @@ that exit 0 in both trees.
 
 The list covers all eight subcommands in json, csv and dat; n = 7, 12, 13,
 15, 16, 32, 48 and 64; the exp, gelfand, cosh and sinh terms; both
-branches; ``file:`` guesses in both dimensions; and the exit-2 and exit-3
-requests of ``tests/test_cli.py``.  Guess files are written to a temporary
+branches; ``file:`` guesses in both dimensions; the exit-2 and exit-3
+requests of ``tests/test_cli.py``; and the help text of the program and
+of each subcommand.  Guess files are written to a temporary
 directory shared by both runs, so their paths, which the outputs record,
 agree.  pytest does not collect this file.
 """
@@ -143,6 +144,7 @@ def requests(tmp: Path) -> list[list[str]]:
         ["solve-2d", "--lambda", "0.5", "--nonlinearity", "gelfand"],
         ["solve-2d", "--lambda", "-1.0"],
         ["bifurcation-1d", "--samples", "1"],
+        ["bifurcation-2d-approx", "--samples", "1"],
         ["coeffs", "1d", "--lambda", "0.25", "--nonlinearity", "cosh", "--epsilon", "0.3"],
         ["solve-1d", "--lambda", "0.25", "--output", str(tmp / "no" / "dir.json")],
         ["solve-1d"],
@@ -171,6 +173,11 @@ def requests(tmp: Path) -> list[list[str]]:
         for amplitude in ("nan", "inf"):
             reqs.append([command, "--lambda", "0.25", "--guess", "onepoint",
                          "--amplitude", amplitude])
+    # help text, which argparse writes to stdout before it exits 0
+    reqs.append(["--help"])
+    for command in ("bifurcation-1d", "solve-1d", "stability-1d", "eig-2d", "solve-2d",
+                    "bifurcation-2d-approx", "coeffs", "symmetry"):
+        reqs.append([command, "--help"])
     # --output writes a file instead of stdout
     for k, fmt in enumerate(FORMATS):
         reqs.append(["solve-2d", "--lambda", "0.5", "--n", "12", "--format", fmt,

@@ -134,17 +134,19 @@ def test_config_validation():
 
 def test_order_estimate_examples():
     t = NewtonTrace(update_norms=[1e-1, 1e-2, 1e-4], residual_norms=[0, 0, 0],
-                    iterations=3, converged=True)
+                    converged=True)
     assert abs(convergence_order_estimate(t) - 2.0) < 1e-12
     t = NewtonTrace(update_norms=[1e-1, 1e-3, 1e-9], residual_norms=[0, 0, 0],
-                    iterations=3, converged=True)
+                    converged=True)
     assert abs(convergence_order_estimate(t) - 3.0) < 1e-12
 
 
 def test_order_estimate_insufficient_data():
     t = NewtonTrace(update_norms=[1e-1, 1e-15, 1e-16], residual_norms=[0, 0, 0],
-                    iterations=3, converged=True)
+                    converged=True)
+    assert t.iterations == 3
     assert convergence_order_estimate(t) is None
+    assert NewtonTrace().iterations == 0
     assert convergence_order_estimate(NewtonTrace()) is None
 
 

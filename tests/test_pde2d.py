@@ -152,12 +152,12 @@ def test_eigenvalues_match_dense_kronecker_spectrum():
             assert np.max(np.abs(res.values - dense) / np.abs(dense)) < 1e-10
 
 
-def test_eigenvectors_are_eigenpairs():
-    n = 12
+@pytest.mark.parametrize("n", [3, 7, 12, 13, 32])
+def test_eigenvectors_are_eigenpairs(n):
     grid = cheb_points(n, 1.0)
-    res = laplacian_eigs(grid, 10)
+    res = laplacian_eigs(grid, (n - 1) ** 2)
     op = tensor_laplacian(grid)
-    for k in range(10):
+    for k in range((n - 1) ** 2):
         v = res.vectors[:, k]
         assert abs(np.max(np.abs(v)) - 1.0) < 1e-13
         assert v[np.argmax(np.abs(v) > 1e-12)] > 0.0
