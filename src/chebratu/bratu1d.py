@@ -1,8 +1,8 @@
 """The one-dimensional Bratu problem on ``[-L, L]``.
 
-Steady states of ``u'' + lam * exp(u) = 0`` with ``u(+-L) = 0``.  The
-problem has a classical closed-form solution family (Gelfand): with
-center amplitude ``A = u(0)``,
+Steady states of ``u'' + lam * f(u) = 0`` with ``u(+-L) = 0``.  For
+``f = exp`` the problem has a classical closed-form solution family
+(Gelfand): with center amplitude ``A = u(0)``,
 
     u(x) = A - 2 log cosh(B x),      B = sqrt(lam * exp(A) / 2),
 
@@ -21,10 +21,10 @@ In ``b = B L`` the curve reads ``A = 2 ln cosh b``, ``lam L**2 =
 decays again, so below the fold every ``lam`` admits a small and a big
 solution, with amplitudes on either side of ``A*``.  This module provides
 the closed-form curve and its fold, amplitude lookups on both branches,
-collocation solutions of the discrete problem (the dense-operator case of
-the shared :func:`~chebratu.newton.solve_semilinear`, from the shared
-:func:`~chebratu.newton.initial_guess`, as a
-:class:`~chebratu.newton.Solution`), and the linearized-stability verdict.
+collocation solutions of the discrete problem for any reaction term (the
+dense-operator case of the shared :func:`~chebratu.newton.solve_semilinear`,
+from the shared :func:`~chebratu.newton.initial_guess`), and the
+linearized-stability verdict.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import InvalidArgumentError
 from .newton import (
     DenseOperator,
     NewtonConfig,
+    Nonlinearity,
     Solution,
     initial_guess,
     make_nonlinearity,
@@ -219,16 +220,18 @@ def bifurcation_curve(half_width: float = 1.0, samples: int = 400) -> Bifurcatio
 _EXP = make_nonlinearity("exp")
 
 
-def solve_1d(lam: float, grid: Grid1D, guess="zero", amplitude: float | None = None,
+def solve_1d(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, guess="zero",
+             amplitude: float | None = None,
              config: NewtonConfig | None = None) -> Solution:
     """Newton-Kantorovich solution of the collocation system.
 
-    The interior system ``D2 u + lam exp(u) = 0`` goes to
+    The interior system ``D2 u + lam f(u) = 0`` goes to
     :func:`~chebratu.newton.solve_semilinear`; ``guess`` and ``amplitude``
     are as for :func:`~chebratu.newton.initial_guess` (``"zero"``,
-    ``"onepoint"`` or a custom vector).  For ``0 < lam < lam*`` the result
-    is labeled "small" when its interpolated center value lies below the
-    fold amplitude ``A*``, else "big"; otherwise "unknown".
+    ``"onepoint"`` or a custom vector).  For the exp term and ``0 < lam <
+    lam*`` the result is labeled "small" when its interpolated center
+    value lies below the fold amplitude ``A*``, else "big"; otherwise, and
+    for every other term (the closed form covers only exp), "unknown".
 
     For ``lam`` above the fold the iteration has nothing to converge to
     and the Newton error propagates with its trace.
@@ -238,13 +241,10 @@ def solve_1d(lam: float, grid: Grid1D, guess="zero", amplitude: float | None = N
     if not np.isfinite(lam):
         raise InvalidArgumentError("lam must be finite")
     operator = DenseOperator(second_diff_matrix(grid).interior)
-    u0 = initial_guess(grid, 1, guess, amplitude)
-    u, trace = solve_semilinear(operator, lam, _EXP, u0, config)
-
-    sol = Solution(grid=grid, values=np.pad(u, 1), lam=float(lam), branch="unknown",
-                   trace=trace)
+    sol = solve_semilinear(operator, grid, lam, nonlinearity,
+                           initial_guess(grid, 1, guess, amplitude), config)
     a_star, lam_star = critical_point(grid.half_width)
-    if 0.0 < lam < lam_star:
+    if nonlinearity is _EXP and 0.0 < lam < lam_star:
         sol = replace(sol, branch="small" if sol.center_value() < a_star else "big")
     return sol
 
@@ -252,16 +252,16 @@ def solve_1d(lam: float, grid: Grid1D, guess="zero", amplitude: float | None = N
 def stability_1d(sol: Solution) -> tuple[bool, float, EigenResult]:
     """Linear stability of a converged 1D solution.
 
-    Forms ``M = -(D2 + lam diag(exp(u)))`` on the interior points, the
-    negated Newton Jacobian :meth:`~chebratu.newton.DenseOperator.shifted`,
-    and returns ``(stable, mu_min, spectrum)`` where ``mu_min`` is the
-    smallest eigenvalue of the (real) spectrum and the solution is stable
-    iff ``mu_min > 0``.
+    Forms ``M = -(D2 + lam diag(f'(u)))`` on the interior points, with
+    ``f`` the solution's reaction term: the negated Newton Jacobian
+    :meth:`~chebratu.newton.DenseOperator.shifted`.  Returns ``(stable,
+    mu_min, spectrum)`` where ``mu_min`` is the smallest eigenvalue of the
+    (real) spectrum and the solution is stable iff ``mu_min > 0``.
     """
     if not sol.trace.converged:
         raise InvalidArgumentError("stability verdict requires a converged solution")
     operator = DenseOperator(second_diff_matrix(sol.grid).interior)
-    m = -operator.shifted(_EXP.derivative(sol.lam, sol.interior))
+    m = -operator.shifted(sol.nonlinearity.derivative(sol.lam, sol.interior))
     spectrum = eig_general(m, want_vectors=False)
     mu_min = float(spectrum.values[0])
     return mu_min > 0.0, mu_min, spectrum

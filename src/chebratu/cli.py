@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,10 +33,10 @@ from .newton import NewtonConfig, convergence_order_estimate, make_nonlinearity
 __all__ = ["main", "run"]
 
 
-def _add_common(p, *, guesses=None, nonlinearity=False, samples=None):
+def _add_common(p, *, guesses=None):
     """The flags shared by subcommands.  ``guesses``, the guess names with
-    the default first, marks a solve: it adds the lambda, grid, guess and
-    Newton flags."""
+    the default first, marks a solve: it adds the lambda, grid, guess,
+    nonlinearity and Newton flags."""
     if guesses:
         p.add_argument("--lambda", dest="lam", type=float, required=True,
                        help="bifurcation parameter")
@@ -47,20 +48,18 @@ def _add_common(p, *, guesses=None, nonlinearity=False, samples=None):
                        help=f"initial guess: one of {guesses} or file:PATH")
         p.add_argument("--amplitude", type=float, default=None,
                        help="guess amplitude (default 6 for onepoint, 0.1 for eigenfunction)")
-    if nonlinearity:
         p.add_argument("--nonlinearity", default="exp",
-                       choices=["exp", "gelfand", "cosh", "sinh"])
+                       choices=["exp", "gelfand", "cosh", "sinh"],
+                       help="reaction term f(u) (default exp)")
         p.add_argument("--epsilon", type=float, default=None,
                        help="gelfand perturbation (required with --nonlinearity gelfand)")
-    if guesses:
         p.add_argument("--tol", type=float, default=None,
                        help="Newton update tolerance (default 1e-12); the residual test "
                             "(sup-norm <= 1e-10) usually stops the iteration first")
         p.add_argument("--max-iter", dest="max_iter", type=int, default=None,
                        help="Newton iteration cap (default 25)")
-    if samples is not None:
-        p.add_argument("--samples", type=int, default=samples)
-    p.add_argument("--format", default="json", choices=["json", "csv", "dat"])
+    p.add_argument("--format", default="json", choices=["json", "csv", "dat"],
+                   help="output format (default json)")
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
 
@@ -70,39 +69,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Chebyshev collocation solvers for Bratu-type problems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a solve subcommand sets ``dim`` ("1d" or "2d"); 1D solves use only exp
-    one_d = {"dim": "1d", "nonlinearity": "exp", "epsilon": None}
+    # a solve subcommand sets ``dim`` ("1d" or "2d"), which picks the operator
 
     p = sub.add_parser("bifurcation-1d", help="closed-form 1D curve and fold")
-    p.add_argument("--L", dest="half_width", type=float, default=1.0)
-    _add_common(p, samples=400)
+    p.add_argument("--L", dest="half_width", type=float, default=1.0,
+                   help="domain half-width (default 1)")
+    p.add_argument("--samples", type=int, default=400,
+                   help="number of curve points (default 400)")
+    _add_common(p)
 
-    p = sub.add_parser("solve-1d", help="solve the 1D problem")
-    _add_common(p, guesses=["zero", "onepoint"])
-    p.set_defaults(**one_d)
-
-    p = sub.add_parser("stability-1d", help="solve and classify linear stability")
-    _add_common(p, guesses=["zero", "onepoint"])
-    p.set_defaults(**one_d)
+    for name, help_text in (("solve-1d", "solve the 1D problem"),
+                            ("stability-1d", "solve and classify linear stability")):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, guesses=["zero", "onepoint"])
+        p.set_defaults(dim="1d")
 
     p = sub.add_parser("eig-2d", help="eigenvalues of the 2D Dirichlet Laplacian")
-    p.add_argument("--L", dest="half_width", type=float, default=1.0)
-    p.add_argument("--n", dest="n", type=int, default=16)
-    _add_common(p, samples=10)
+    p.add_argument("--L", dest="half_width", type=float, default=1.0,
+                   help="domain half-width (default 1)")
+    p.add_argument("--n", dest="n", type=int, default=16, help="grid order (default 16)")
+    p.add_argument("--samples", type=int, default=10,
+                   help="number of eigenvalues, smallest first (default 10)")
+    _add_common(p)
 
     p = sub.add_parser("solve-2d", help="solve the 2D problem")
-    _add_common(p, guesses=["eigenfunction", "onepoint", "zero"], nonlinearity=True)
+    _add_common(p, guesses=["eigenfunction", "onepoint", "zero"])
     p.set_defaults(dim="2d")
 
     p = sub.add_parser("bifurcation-2d-approx", help="one-point 2D diagram estimate")
-    _add_common(p, samples=400)
+    p.add_argument("--samples", type=int, default=400,
+                   help="amplitude steps over [0, 8] (default 400)")
+    _add_common(p)
 
     p = sub.add_parser("coeffs", help="coefficient-decay report of a solve")
-    p.add_argument("dim", choices=["1d", "2d"])
-    _add_common(p, guesses=["zero", "onepoint", "eigenfunction"], nonlinearity=True)
+    p.add_argument("dim", choices=["1d", "2d"], help="dimension of the solve")
+    _add_common(p, guesses=["zero", "onepoint", "eigenfunction"])
 
     p = sub.add_parser("symmetry", help="symmetry report of a 2D solve")
-    _add_common(p, guesses=["eigenfunction", "onepoint", "zero"], nonlinearity=True)
+    _add_common(p, guesses=["eigenfunction", "onepoint", "zero"])
     p.set_defaults(dim="2d")
 
     return parser
@@ -167,10 +171,6 @@ def _solving(report):
     params)``.  On any Newton failure the handler returns exit 3 instead,
     with the Newton trace and the error message."""
     def handler(args):
-        if args.dim == "1d" and args.nonlinearity != "exp":
-            raise InvalidArgumentError(
-                f"1D solves support only the exp nonlinearity, got {args.nonlinearity!r}"
-            )
         n = args.n if args.n is not None else (32 if args.dim == "1d" else 16)
         grid = cheb_points(n, args.half_width)
         guess = np.loadtxt(args.guess[5:]) if args.guess.startswith("file:") else args.guess
@@ -184,12 +184,10 @@ def _solving(report):
         }
         stops = {"tol_update": args.tol, "max_iter": args.max_iter}
         config = NewtonConfig(**{key: v for key, v in stops.items() if v is not None})
+        solve = bratu1d.solve_1d if args.dim == "1d" else pde2d.solve_2d
         try:
-            if args.dim == "1d":
-                sol = bratu1d.solve_1d(args.lam, grid, guess, args.amplitude, config)
-            else:
-                sol = pde2d.solve_2d(args.lam, make_nonlinearity(args.nonlinearity, args.epsilon),
-                                     grid, guess, args.amplitude, config)
+            sol = solve(args.lam, make_nonlinearity(args.nonlinearity, args.epsilon), grid,
+                        guess, args.amplitude, config)
         except NewtonError as exc:
             doc = {
                 "params": params,
@@ -275,24 +273,14 @@ def _cmd_coeffs(args, sol, params):
 
 
 def _cmd_symmetry(args, sol, params):
-    sym = diagnostics.symmetry_report(sol.interior)
+    devs = asdict(diagnostics.symmetry_report(sol.interior))
     doc = {
         "params": params,
         "solution": {"u_max": sol.u_max, "center_value": sol.center_value()},
-        "symmetry": {
-            "rot90_dev": sym.rot90_dev,
-            "transpose_dev": sym.transpose_dev,
-            "reflect_x_dev": sym.reflect_x_dev,
-            "reflect_y_dev": sym.reflect_y_dev,
-        },
+        "symmetry": devs,
         "newton": _trace_doc(sol.trace),
     }
-    rows = [
-        ("rot90", sym.rot90_dev),
-        ("transpose", sym.transpose_dev),
-        ("reflect_x", sym.reflect_x_dev),
-        ("reflect_y", sym.reflect_y_dev),
-    ]
+    rows = [(key.removesuffix("_dev"), dev) for key, dev in devs.items()]
     return 0, doc, ([], ["symmetry", "deviation"], rows)
 
 

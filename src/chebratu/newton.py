@@ -210,8 +210,9 @@ def _scaled(f):
     return term
 
 
-# name -> (f, f'); the gelfand pair depends on epsilon and is built per call
-_TERMS = {"exp": (np.exp, np.exp), "cosh": (np.cosh, np.sinh), "sinh": (np.sinh, np.cosh)}
+# one shared object per named term; gelfand depends on epsilon, built per call
+_TERMS = {name: Nonlinearity(_scaled(f), _scaled(df)) for name, f, df in
+          (("exp", np.exp, np.exp), ("cosh", np.cosh, np.sinh), ("sinh", np.sinh, np.cosh))}
 
 
 def _gelfand_terms(eps: float):
@@ -236,7 +237,8 @@ def make_nonlinearity(name: str, epsilon: float | None = None) -> Nonlinearity:
 
     ``"exp"`` is the classical Bratu term ``exp(u)``; ``"gelfand"`` the
     perturbed ``exp(u / (1 + eps u))`` for ``0 < eps < 1``; ``"cosh"``
-    and ``"sinh"`` the hyperbolic variants.
+    and ``"sinh"`` the hyperbolic variants.  Each call with the same
+    name returns the same object, except for ``"gelfand"``.
     """
     if name == "gelfand":
         if epsilon is None or not (0.0 < epsilon < 1.0):
@@ -246,8 +248,7 @@ def make_nonlinearity(name: str, epsilon: float | None = None) -> Nonlinearity:
         return Nonlinearity(*_gelfand_terms(float(epsilon)))
     if name not in _TERMS:
         raise InvalidArgumentError(f"unknown nonlinearity {name!r}")
-    f, df = _TERMS[name]
-    return Nonlinearity(_scaled(f), _scaled(df))
+    return _TERMS[name]
 
 
 @dataclass(frozen=True)
@@ -279,12 +280,14 @@ class Solution:
 
     ``values`` holds the full grid, one axis per dimension, with exact
     zeros on the boundary; a 2D field is indexed ``values[iy, ix]``.
-    ``branch`` is "small", "big" or "unknown" (always "unknown" in 2D).
+    ``branch``, for the reaction term ``nonlinearity``, is "small", "big"
+    or "unknown" (always "unknown" in 2D and for terms other than exp).
     """
 
     grid: Grid1D
     values: np.ndarray
     lam: float
+    nonlinearity: Nonlinearity
     branch: str
     trace: NewtonTrace
 
@@ -350,17 +353,17 @@ def initial_guess(grid: Grid1D, ndim: int, guess, amplitude: float | None = None
     raise InvalidArgumentError(f"unknown {ndim}D guess {guess!r}")
 
 
-def solve_semilinear(operator, lam: float, nonlinearity: Nonlinearity, u0,
-                     config: NewtonConfig | None = None):
-    """Newton-Kantorovich solution of ``Lap u + lam f(u) = 0``.
+def solve_semilinear(operator, grid: Grid1D, lam: float, nonlinearity: Nonlinearity, u0,
+                     config: NewtonConfig | None = None) -> Solution:
+    """Newton-Kantorovich solution of ``Lap u + lam f(u) = 0`` on ``grid``.
 
     ``operator`` is the interior ``Lap`` (Dirichlet conditions already
     imposed), with ``apply(u)`` and ``solve_shifted(d, b)`` on flattened
     interior vectors, as on :class:`DenseOperator`.  The residual is
     ``apply(u) + value(lam, u)``; the Jacobian ``Lap + diag(derivative(lam,
     u))`` is passed on as its diagonal and solved by ``solve_shifted``.
-    Returns ``(u, trace)`` with ``u`` in the shape of ``u0``, and raises as
-    :func:`newton_kantorovich`.
+    Starts from the interior field ``u0``; returns a :class:`Solution`
+    labelled "unknown", and raises as :func:`newton_kantorovich`.
     """
     def residual(u):
         return operator.apply(u) + nonlinearity.value(lam, u)
@@ -370,7 +373,8 @@ def solve_semilinear(operator, lam: float, nonlinearity: Nonlinearity, u0,
 
     u, trace = newton_kantorovich(residual, jacobian, np.ravel(u0), config,
                                   solve=operator.solve_shifted)
-    return u.reshape(np.shape(u0)), trace
+    return Solution(grid=grid, values=np.pad(u.reshape(np.shape(u0)), 1), lam=float(lam),
+                    nonlinearity=nonlinearity, branch="unknown", trace=trace)
 
 
 def convergence_order_estimate(trace: NewtonTrace) -> float | None:

@@ -155,6 +155,4 @@ def solve_2d(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, guess,
         raise InvalidArgumentError(f"lam must be nonnegative, got {lam!r}")
     operator = tensor_laplacian(grid)
     u0 = initial_guess(grid, 2, guess, amplitude, operator.vectors[:, 0])
-    u, trace = solve_semilinear(operator, lam, nonlinearity, u0, config)
-    return Solution(grid=grid, values=np.pad(u, 1), lam=float(lam), branch="unknown",
-                    trace=trace)
+    return solve_semilinear(operator, grid, lam, nonlinearity, u0, config)

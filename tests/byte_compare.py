@@ -18,10 +18,12 @@ last table gives the largest difference per key path over the requests
 that exit 0 in both trees.
 
 The list covers all eight subcommands in json, csv and dat; n = 7, 12, 13,
-15, 16, 32, 48 and 64; the exp, gelfand, cosh and sinh terms; both
-branches; ``file:`` guesses in both dimensions; the exit-2 and exit-3
-requests of ``tests/test_cli.py``; and the help text of the program and
-of each subcommand.  Guess files are written to a temporary
+15, 16, 32, 48 and 64; the exp, gelfand, cosh and sinh terms in both
+dimensions (the 1D solve, stability and coefficient subcommands with each
+term from both guesses); both branches; ``file:`` guesses in both
+dimensions; the exit-2 and exit-3 requests of ``tests/test_cli.py``; a
+gelfand pole (exit 4); and the help text of the program and of each
+subcommand.  Guess files are written to a temporary
 directory shared by both runs, so their paths, which the outputs record,
 agree.  pytest does not collect this file.
 """
@@ -98,6 +100,13 @@ def requests(tmp: Path) -> list[list[str]]:
             reqs.append(["stability-1d", "--lambda", "0.25", "--n", n, *f])
             reqs.append(["stability-1d", "--lambda", "0.5", "--n", n, "--guess", "onepoint", *f])
             reqs.append(["coeffs", "1d", "--lambda", "0.25", "--n", n, "--guess", "onepoint", *f])
+        for n in ("16", "32", "48"):
+            for nl in (["cosh"], ["sinh"], ["gelfand", "--epsilon", "0.1"]):
+                for guess in ("zero", "onepoint"):
+                    common = ["--lambda", "0.3", "--n", n, "--nonlinearity", *nl,
+                              "--guess", guess, *f]
+                    reqs += [["solve-1d", *common], ["stability-1d", *common],
+                             ["coeffs", "1d", *common]]
         reqs.append(["solve-1d", "--lambda", "0.25", "--tol", "1e-4", "--max-iter", "12", *f])
         reqs.append(["stability-1d", "--lambda", "0.1", *f])
         reqs.append(["coeffs", "1d", "--lambda", "0.25", *f])
@@ -138,6 +147,9 @@ def requests(tmp: Path) -> list[list[str]]:
                  ["symmetry", "--lambda", "3.0", "--n", "12"],
                  ["solve-1d", "--lambda", "0.25", "--max-iter", "1", "--guess", "onepoint"]):
         reqs.extend([*argv, "--format", fmt] for fmt in FORMATS)
+    # exit 4: the Newton iterate reaches the gelfand pole
+    reqs.append(["solve-1d", "--lambda", "3", "--nonlinearity", "gelfand", "--epsilon", "0.9",
+                 "--guess", "onepoint", "--amplitude", "-20"])
     # exit 2: invalid requests (tests/test_cli.py and the guess errors)
     reqs += [
         ["solve-1d", "--lambda", "0.25", "--n", "2"],

@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
 
@@ -103,6 +105,34 @@ def _reaction(name: str, epsilon: float | None):
         return (lambda u: np.exp(u / (1.0 + epsilon * u)),
                 lambda u: np.exp(u / (1.0 + epsilon * u)) / (1.0 + epsilon * u) ** 2)
     return {"exp": (np.exp, np.exp), "cosh": (np.cosh, np.sinh), "sinh": (np.sinh, np.cosh)}[name]
+
+
+def shooting_center_1d(lam: float, name: str, epsilon: float | None, bracket,
+                       half_width: float = 1.0) -> float:
+    """Centre ``A = u(0)`` in ``bracket`` of the even solution of
+    ``u'' + lam f(u) = 0`` on ``[-L, L]`` with ``u(+-L) = 0``.
+
+    Shooting: ``u(0) = A``, ``u'(0) = 0`` is integrated to ``x = L`` by
+    DOP853 (rtol 1e-13, atol 1e-14) and ``brentq`` finds the root of
+    ``u(L)`` in ``A``.  An integration stops early once ``u`` falls to
+    -1, which keeps ``u(L)`` continuous in ``A`` and clear of the blow-up
+    of cosh and of the gelfand pole; the sign of ``u(L)`` must differ at
+    the two ends of ``bracket``.
+    """
+    f = _reaction(name, epsilon)[0]
+
+    def fallen(x, y):
+        return y[0] + 1.0
+
+    fallen.terminal = True
+
+    def end_value(amplitude):
+        path = solve_ivp(lambda x, y: [y[1], -lam * f(y[0])], (0.0, half_width),
+                         [amplitude, 0.0], method="DOP853", rtol=1e-13, atol=1e-14,
+                         events=fallen)
+        return path.y[0, -1]
+
+    return brentq(end_value, *bracket, xtol=1e-15, rtol=1e-15)
 
 
 @lru_cache(maxsize=None)

@@ -91,8 +91,9 @@ def _finish(num, name, t0, limit, checks):
 @lru_cache(maxsize=None)
 def _dual_1d():
     grid = cheb_points(32, 1.0)
-    small = solve_1d(0.25, grid, guess="zero")
-    big = solve_1d(0.25, grid, guess="onepoint", amplitude=6.0)
+    nl = make_nonlinearity("exp")
+    small = solve_1d(0.25, nl, grid, guess="zero")
+    big = solve_1d(0.25, nl, grid, guess="onepoint", amplitude=6.0)
     return grid, small, big
 
 

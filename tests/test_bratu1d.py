@@ -7,6 +7,7 @@ import pytest
 
 from chebratu import (
     NewtonTrace,
+    Nonlinearity,
     Solution,
     bifurcation_curve,
     branch_amplitudes,
@@ -16,6 +17,7 @@ from chebratu import (
     exact_solution,
     lambda_of_amplitude,
     lambda_slope,
+    make_nonlinearity,
     second_diff_matrix,
     solve_1d,
     stability_1d,
@@ -24,6 +26,9 @@ from chebratu.errors import (
     InvalidArgumentError,
     NewtonError,
 )
+from oracles import shooting_center_1d
+
+EXP = make_nonlinearity("exp")
 
 # fold of the closed-form curve, from 40-digit arithmetic: the argmax of
 # lam(A) = 2 arccosh(exp(A/2))^2 / exp(A), equivalently the solution of
@@ -217,8 +222,8 @@ def grid32():
 
 @pytest.fixture(scope="module")
 def dual_solutions(grid32):
-    small = solve_1d(0.25, grid32, guess="zero")
-    big = solve_1d(0.25, grid32, guess="onepoint", amplitude=6.0)
+    small = solve_1d(0.25, EXP, grid32, guess="zero")
+    big = solve_1d(0.25, EXP, grid32, guess="onepoint", amplitude=6.0)
     return small, big
 
 
@@ -255,7 +260,7 @@ def test_small_branch_convergence_order(dual_solutions):
 
 
 def test_solve_lambda_zero_one_iteration(grid32):
-    sol = solve_1d(0.0, grid32, guess="zero")
+    sol = solve_1d(0.0, EXP, grid32, guess="zero")
     assert sol.trace.iterations == 1
     assert np.max(np.abs(sol.values)) == 0.0
     assert sol.branch == "unknown"
@@ -263,28 +268,28 @@ def test_solve_lambda_zero_one_iteration(grid32):
 
 def test_solve_above_fold_fails(grid32):
     with pytest.raises(NewtonError) as info:
-        solve_1d(1.0, grid32, guess="zero")
+        solve_1d(1.0, EXP, grid32, guess="zero")
     assert info.value.trace is not None
 
 
 def test_solve_custom_guess(grid32):
     a_small, a_big = branch_amplitudes(0.25, 1.0)
     guess = exact_solution(a_big, 1.0, grid32.points)
-    sol = solve_1d(0.25, grid32, guess=guess)
+    sol = solve_1d(0.25, EXP, grid32, guess=guess)
     assert sol.branch == "big"
     assert sol.trace.iterations <= 3
 
 
 def test_solve_validation(grid32):
     with pytest.raises(InvalidArgumentError):
-        solve_1d(0.25, cheb_points(3, 1.0))
+        solve_1d(0.25, EXP, cheb_points(3, 1.0))
     with pytest.raises(InvalidArgumentError):
-        solve_1d(0.25, grid32, guess="mystery")
+        solve_1d(0.25, EXP, grid32, guess="mystery")
     with pytest.raises(InvalidArgumentError):
-        solve_1d(0.25, grid32, guess=np.zeros(5))
+        solve_1d(0.25, EXP, grid32, guess=np.zeros(5))
     for amplitude in (np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
-            solve_1d(0.25, grid32, guess="onepoint", amplitude=amplitude)
+            solve_1d(0.25, EXP, grid32, guess="onepoint", amplitude=amplitude)
 
 
 def test_branch_dichotomy_sweep():
@@ -301,7 +306,7 @@ def test_branch_dichotomy_sweep():
             a_small, a_big = branch_amplitudes(lam, 1.0)
             for guess, amplitude in (("zero", 0.0), ("onepoint", 6.0), ("onepoint", A_STAR)):
                 try:
-                    sol = solve_1d(lam, grid, guess=guess, amplitude=amplitude)
+                    sol = solve_1d(lam, EXP, grid, guess=guess, amplitude=amplitude)
                 except NewtonError:
                     assert guess == "onepoint" or lam in near_fold
                     continue
@@ -325,7 +330,7 @@ def test_stability_verdicts(grid32, dual_solutions):
 def test_stability_spectrum_at_zero_solution():
     # u = 0, lam = 0: the spectrum of -d^2/dx^2 is (k pi / 2L)^2
     grid = cheb_points(16, 1.0)
-    sol = solve_1d(0.0, grid, guess="zero")
+    sol = solve_1d(0.0, EXP, grid, guess="zero")
     _, mu_min, spectrum = stability_1d(sol)
     expect = (np.arange(1, 4) * np.pi / 2.0) ** 2
     assert abs(mu_min - expect[0]) < 1e-8
@@ -338,8 +343,8 @@ def test_stability_sign_flip_at_fold():
 
     def mu_pair(lam):
         a_small, a_big = branch_amplitudes(lam, 1.0)
-        small = solve_1d(lam, grid, guess="zero")
-        big = solve_1d(lam, grid, guess=exact_solution(a_big, 1.0, grid.points))
+        small = solve_1d(lam, EXP, grid, guess="zero")
+        big = solve_1d(lam, EXP, grid, guess=exact_solution(a_big, 1.0, grid.points))
         return stability_1d(small)[1], stability_1d(big)[1]
 
     mu_s_mid, mu_b_mid = mu_pair(0.5 * LAM_STAR)
@@ -351,7 +356,64 @@ def test_stability_sign_flip_at_fold():
 
 
 def test_stability_requires_convergence(grid32):
-    fake = Solution(grid=grid32, values=np.zeros(33), lam=0.25,
+    fake = Solution(grid=grid32, values=np.zeros(33), lam=0.25, nonlinearity=EXP,
                     branch="unknown", trace=NewtonTrace())
     with pytest.raises(InvalidArgumentError):
         stability_1d(fake)
+
+
+# ---------------------------------------------------------------------------
+# the other reaction terms, against an independent shooting oracle
+# ---------------------------------------------------------------------------
+
+NON_EXP = [("cosh", None), ("sinh", None), ("gelfand", 0.1)]
+# u(L) changes sign once in each bracket at lam = 0.3 (for sinh the small
+# solution is u = 0, the bracket's left end)
+BRACKETS = {"zero": (0.0, 1.0), "onepoint": (1.0, 20.0)}
+
+
+@pytest.fixture(scope="module")
+def non_exp_solutions():
+    grid = cheb_points(64, 1.0)
+    return {(name, guess): solve_1d(0.3, make_nonlinearity(name, eps), grid, guess)
+            for name, eps in NON_EXP for guess in BRACKETS}
+
+
+@pytest.mark.parametrize("lam, half_width", [(0.3, 1.0), (2.0, 0.5)])
+def test_shooting_oracle_matches_exp_closed_form(lam, half_width):
+    expect = branch_amplitudes(lam, half_width)
+    got = [shooting_center_1d(lam, "exp", None, BRACKETS[guess], half_width)
+           for guess in ("zero", "onepoint")]
+    assert np.max(np.abs(np.subtract(got, expect))) < 1e-13
+
+
+@pytest.mark.parametrize("guess", list(BRACKETS))
+@pytest.mark.parametrize("name, eps", NON_EXP)
+def test_non_exp_centres_match_shooting_oracle(non_exp_solutions, name, eps, guess):
+    sol = non_exp_solutions[name, guess]
+    assert sol.nonlinearity is not EXP
+    assert sol.branch == "unknown"
+    expect = shooting_center_1d(0.3, name, eps, BRACKETS[guess])
+    assert abs(sol.center_value() - expect) < 1e-12
+    assert sol.center_value() > 1.0 if guess == "onepoint" else sol.center_value() < 1.0
+
+
+@pytest.mark.parametrize("name", ["cosh", "sinh", "gelfand"])
+def test_non_exp_stability_verdicts(non_exp_solutions, name):
+    stable_s, mu_s, _ = stability_1d(non_exp_solutions[name, "zero"])
+    stable_b, mu_b, _ = stability_1d(non_exp_solutions[name, "onepoint"])
+    assert stable_s and mu_s > 0.0
+    assert not stable_b and mu_b < 0.0
+    if name == "sinh":
+        # about u = 0 the operator is -d^2/dx^2 - lam cosh(0)
+        assert abs(mu_s - (np.pi**2 / 4.0 - 0.3)) < 1e-8
+
+
+def test_exp_label_needs_the_shared_exp_term(grid32):
+    # the closed-form label covers exp only: a term that is numerically
+    # exp but not the shared object is not labelled
+    lookalike = Nonlinearity(EXP.value, EXP.derivative)
+    sol = solve_1d(0.25, lookalike, grid32, guess="zero")
+    assert sol.nonlinearity is lookalike
+    assert sol.branch == "unknown"
+    assert make_nonlinearity("exp") is EXP

@@ -125,9 +125,6 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
     assert run(["solve-2d", "--lambda", "0.5", "--nonlinearity", "gelfand"]) == 2
     assert run(["solve-2d", "--lambda", "-1.0"]) == 2
     assert run(["bifurcation-1d", "--samples", "1"]) == 2
-    # 1D solves take only exp; another nonlinearity must not be ignored
-    assert run(["coeffs", "1d", "--lambda", "0.25", "--nonlinearity", "cosh",
-                "--epsilon", "0.3"]) == 2
     assert run(["solve-1d", "--lambda", "0.25",
                 "--output", str(tmp_path / "no" / "dir.json")]) == 2
     # guesses: the eigenfunction is 2D only, names are checked, an
@@ -151,6 +148,20 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
             warnings.simplefilter("error", RuntimeWarning)
             assert run(argv[:1] + ["--lambda", "0.25"] + argv[1:]) == 2, argv
     capsys.readouterr()
+
+
+def test_coeffs_1d_solves_the_requested_nonlinearity(tmp_path):
+    # the 1D solve takes every reaction term, as the 2D one does; the
+    # --epsilon a non-gelfand term does not use is recorded and ignored
+    exp = _run_json(["coeffs", "1d", "--lambda", "0.25"], tmp_path)
+    doc = _run_json(["coeffs", "1d", "--lambda", "0.25", "--nonlinearity", "cosh",
+                     "--epsilon", "0.3"], tmp_path, "cosh.json")
+    assert doc["params"]["nonlinearity"] == "cosh"
+    assert doc["params"]["epsilon"] == 0.3
+    assert doc["newton"]["converged"] is True
+    assert doc["decay"]["odd_floor"] <= 1e-12
+    assert len(doc["coefficients"]) == 33
+    assert doc["coefficients"] != exp["coefficients"]
 
 
 def test_onepoint_guess_takes_zero_and_negative_amplitudes(tmp_path):

@@ -34,8 +34,9 @@ def grid16():
 @pytest.fixture(scope="module")
 def solutions_1d():
     grid = cheb_points(32, 1.0)
-    small = solve_1d(0.25, grid, guess="zero")
-    big = solve_1d(0.25, grid, guess="onepoint", amplitude=6.0)
+    nl = make_nonlinearity("exp")
+    small = solve_1d(0.25, nl, grid, guess="zero")
+    big = solve_1d(0.25, nl, grid, guess="onepoint", amplitude=6.0)
     return small, big
 
 

@@ -256,7 +256,8 @@ def test_solution_views(n, ndim):
     center is a node for even n and interpolated for odd n."""
     grid = cheb_points(n, 2.0)
     values = 3.0 * _tensor(1.0 - (grid.points / 2.0) ** 2, ndim)
-    sol = Solution(grid=grid, values=values, lam=0.5, branch="unknown", trace=NewtonTrace())
+    sol = Solution(grid=grid, values=values, lam=0.5, nonlinearity=make_nonlinearity("exp"),
+                   branch="unknown", trace=NewtonTrace())
     assert np.array_equal(sol.interior, values[(slice(1, -1),) * ndim])
     assert sol.u_max == values.max()
     if n % 2 == 0:
