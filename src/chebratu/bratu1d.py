@@ -22,9 +22,8 @@ decays again, so below the fold every ``lam`` admits a small and a big
 solution, with amplitudes on either side of ``A*``.  This module provides
 the closed-form curve and its fold, amplitude lookups on both branches,
 collocation solutions of the discrete problem for any reaction term (the
-dense-operator case of the shared :func:`~chebratu.newton.solve_semilinear`,
-from the shared :func:`~chebratu.newton.initial_guess`), and the
-linearized-stability verdict.
+one-axis case of the shared :func:`~chebratu.newton.solve`, with the
+branch label on top), and the linearized-stability verdict.
 """
 
 from __future__ import annotations
@@ -34,17 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chebyshev import Grid1D, second_diff_matrix
+from .chebyshev import Grid1D, _check_half_width
 from .errors import InvalidArgumentError
-from .newton import (
-    DenseOperator,
-    NewtonConfig,
-    Nonlinearity,
-    Solution,
-    initial_guess,
-    make_nonlinearity,
-    solve_semilinear,
-)
+from .newton import NewtonConfig, Nonlinearity, Solution, laplacian, make_nonlinearity, solve
 from .numerics import EigenResult, eig_general
 
 __all__ = [
@@ -77,12 +68,6 @@ def _check_amplitude(amplitude) -> np.ndarray:
     if np.any(A <= 0.0) or not np.all(np.isfinite(A)):
         raise InvalidArgumentError("amplitude must be positive and finite")
     return A
-
-
-def _check_half_width(half_width: float) -> float:
-    if not np.isfinite(half_width) or half_width <= 0.0:
-        raise InvalidArgumentError(f"half-width must be positive, got {half_width!r}")
-    return float(half_width)
 
 
 def _b_of_amplitude(A):
@@ -225,24 +210,18 @@ def solve_1d(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, guess="zero",
              config: NewtonConfig | None = None) -> Solution:
     """Newton-Kantorovich solution of the collocation system.
 
-    The interior system ``D2 u + lam f(u) = 0`` goes to
-    :func:`~chebratu.newton.solve_semilinear`; ``guess`` and ``amplitude``
-    are as for :func:`~chebratu.newton.initial_guess` (``"zero"``,
-    ``"onepoint"`` or a custom vector).  For the exp term and ``0 < lam <
-    lam*`` the result is labeled "small" when its interpolated center
-    value lies below the fold amplitude ``A*``, else "big"; otherwise, and
-    for every other term (the closed form covers only exp), "unknown".
+    The shared :func:`~chebratu.newton.solve` with ``ndim=1``: the
+    interior system ``D2 u + lam f(u) = 0``, each Newton step an LU solve,
+    from ``guess`` and ``amplitude`` (``"zero"``, ``"onepoint"`` or a
+    custom vector).  For the exp term and ``0 < lam < lam*`` the result
+    is labeled "small" when its interpolated center value lies below the
+    fold amplitude ``A*``, else "big"; otherwise, and for every other term
+    (the closed form covers only exp), "unknown".
 
     For ``lam`` above the fold the iteration has nothing to converge to
     and the Newton error propagates with its trace.
     """
-    if grid.n < 4:
-        raise InvalidArgumentError("1D solves need grid order >= 4")
-    if not np.isfinite(lam):
-        raise InvalidArgumentError("lam must be finite")
-    operator = DenseOperator(second_diff_matrix(grid).interior)
-    sol = solve_semilinear(operator, grid, lam, nonlinearity,
-                           initial_guess(grid, 1, guess, amplitude), config)
+    sol = solve(lam, nonlinearity, grid, 1, guess, amplitude, config)
     a_star, lam_star = critical_point(grid.half_width)
     if nonlinearity is _EXP and 0.0 < lam < lam_star:
         sol = replace(sol, branch="small" if sol.center_value() < a_star else "big")
@@ -254,14 +233,13 @@ def stability_1d(sol: Solution) -> tuple[bool, float, EigenResult]:
 
     Forms ``M = -(D2 + lam diag(f'(u)))`` on the interior points, with
     ``f`` the solution's reaction term: the negated Newton Jacobian
-    :meth:`~chebratu.newton.DenseOperator.shifted`.  Returns ``(stable,
+    :meth:`~chebratu.newton.Laplacian.shifted`.  Returns ``(stable,
     mu_min, spectrum)`` where ``mu_min`` is the smallest eigenvalue of the
     (real) spectrum and the solution is stable iff ``mu_min > 0``.
     """
     if not sol.trace.converged:
         raise InvalidArgumentError("stability verdict requires a converged solution")
-    operator = DenseOperator(second_diff_matrix(sol.grid).interior)
-    m = -operator.shifted(sol.nonlinearity.derivative(sol.lam, sol.interior))
+    m = -laplacian(sol.grid, 1).shifted(sol.nonlinearity.derivative(sol.lam, sol.interior))
     spectrum = eig_general(m, want_vectors=False)
     mu_min = float(spectrum.values[0])
     return mu_min > 0.0, mu_min, spectrum

@@ -106,6 +106,17 @@ def _unit_points(n: int) -> np.ndarray:
     return x
 
 
+def _check_half_width(half_width: float) -> float:
+    """``half_width`` as a float, if it is positive and its square is a
+    finite nonzero float (the second derivative divides by it)."""
+    L = float(half_width)
+    if not (L > 0.0 and 0.0 < L * L < np.inf):
+        raise InvalidArgumentError(
+            f"half-width must be positive with a finite nonzero square, got {half_width!r}"
+        )
+    return L
+
+
 def cheb_points(n: int, half_width: float = 1.0) -> Grid1D:
     """Construct the Chebyshev-Gauss-Lobatto grid of order ``n``.
 
@@ -114,7 +125,8 @@ def cheb_points(n: int, half_width: float = 1.0) -> Grid1D:
     n : int
         Polynomial order, at least 1; the grid has ``n + 1`` points.
     half_width : float
-        Half-width ``L > 0`` of the domain ``[-L, L]``.
+        Half-width ``L > 0`` of the domain ``[-L, L]``, with ``L**2`` a
+        finite nonzero float.
 
     Returns
     -------
@@ -122,9 +134,7 @@ def cheb_points(n: int, half_width: float = 1.0) -> Grid1D:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"grid order must be an integer >= 1, got {n!r}")
-    if not np.isfinite(half_width) or half_width <= 0.0:
-        raise InvalidArgumentError(f"half-width must be positive, got {half_width!r}")
-    L = float(half_width)
+    L = _check_half_width(half_width)
     return Grid1D(n=int(n), half_width=L, points=_readonly(L * _unit_points(n)))
 
 

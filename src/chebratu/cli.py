@@ -28,7 +28,7 @@ import numpy as np
 from . import bratu1d, diagnostics, pde2d
 from .chebyshev import cheb_points
 from .errors import ChebratuError, InvalidArgumentError, NewtonError
-from .newton import NewtonConfig, convergence_order_estimate, make_nonlinearity
+from .newton import NewtonConfig, convergence_order_estimate, make_nonlinearity, solve
 
 __all__ = ["main", "run"]
 
@@ -184,10 +184,12 @@ def _solving(report):
         }
         stops = {"tol_update": args.tol, "max_iter": args.max_iter}
         config = NewtonConfig(**{key: v for key, v in stops.items() if v is not None})
-        solve = bratu1d.solve_1d if args.dim == "1d" else pde2d.solve_2d
+        nonlinearity = make_nonlinearity(args.nonlinearity, args.epsilon)
         try:
-            sol = solve(args.lam, make_nonlinearity(args.nonlinearity, args.epsilon), grid,
-                        guess, args.amplitude, config)
+            if args.dim == "1d":
+                sol = bratu1d.solve_1d(args.lam, nonlinearity, grid, guess, args.amplitude, config)
+            else:
+                sol = solve(args.lam, nonlinearity, grid, 2, guess, args.amplitude, config)
         except NewtonError as exc:
             doc = {
                 "params": params,

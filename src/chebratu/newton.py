@@ -8,23 +8,22 @@ test ends it).  Failures raise with the partial trace attached so callers
 can inspect how far the iteration got.
 
 The 1D and 2D problems share one discrete form, ``Lap u + lam f(u) = 0``
-on the interior unknowns, and everything around its solve: one starting
-field (:func:`initial_guess`), one Newton solve (:func:`solve_semilinear`,
-for any reaction term of :func:`make_nonlinearity` and any interior
-operator that applies ``Lap`` and solves ``Lap + diag(d)``: a
-:class:`DenseOperator` by LU in 1D, the fast-diagonalized tensor Laplacian
-by GMRES in 2D) and one result (:class:`Solution`).  The dimension only
-picks the operator.
+on the interior unknowns, and everything around its solve: one interior
+operator (:class:`Laplacian`, for any number of axes), one starting
+field (:func:`initial_guess`), one Newton solve (:func:`solve`, for any
+reaction term of :func:`make_nonlinearity`) and one result
+(:class:`Solution`).  The dimension only picks how the Newton steps
+are solved: by LU in 1D, by preconditioned GMRES otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .chebyshev import Grid1D, barycentric_resample
+from .chebyshev import Grid1D, barycentric_resample, second_diff_matrix
 from .errors import (
     DivergenceError,
     InvalidArgumentError,
@@ -33,10 +32,10 @@ from .errors import (
     SingularMatrixError,
     SingularNonlinearityError,
 )
-from .numerics import lu_solve
+from .numerics import eig_general, gmres, lu_solve
 
 __all__ = [
-    "DenseOperator",
+    "Laplacian",
     "NewtonConfig",
     "NewtonTrace",
     "Nonlinearity",
@@ -44,8 +43,9 @@ __all__ = [
     "newton_kantorovich",
     "convergence_order_estimate",
     "make_nonlinearity",
+    "laplacian",
     "initial_guess",
-    "solve_semilinear",
+    "solve",
 ]
 
 # update norms at or below this level are rounding noise, not contraction data
@@ -251,27 +251,112 @@ def make_nonlinearity(name: str, epsilon: float | None = None) -> Nonlinearity:
     return _TERMS[name]
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """An interior operator held as a dense matrix, for small systems.
+def _along(a, u, axis: int, ndim: int) -> np.ndarray:
+    """``a`` applied along ``axis`` of the x-fastest ``ndim``-axis field
+    ``u``, flattened: a plain product for the leading axis, ``U a^T`` for
+    the last, and one product per leading index for an axis in between."""
+    m = len(a)
+    if axis == 0:
+        return (a @ u.reshape(m, -1)).reshape(-1)
+    if axis == ndim - 1:
+        return (u.reshape(-1, m) @ a.T).reshape(-1)
+    return (a @ u.reshape(m**axis, m, -1)).reshape(-1)
 
-    ``apply(u)`` is ``matrix @ u``; ``shifted(d)`` is ``matrix + diag(d)``,
-    the Jacobian of ``matrix u + lam f(u)`` when ``d = lam f'(u)`` and,
-    negated, the operator of the linear stability problem;
-    ``solve_shifted(d, b)`` solves ``shifted(d) x = b`` by LU and returns
-    ``(x, 1)``.
+
+@dataclass(frozen=True)
+class FastDiagonalization:
+    """``D2 = vectors diag(w) inverse``, with ``w`` descending (the ground
+    state first) and the columns of ``vectors`` of unit sup-norm; ``sums``
+    holds ``w[i] + w[j] + ...`` over every index tuple of the
+    ``ndim``-axis grid, flattened x-fastest (``w`` itself in 1D)."""
+
+    vectors: np.ndarray
+    inverse: np.ndarray
+    sums: np.ndarray
+
+
+@dataclass(frozen=True)
+class Laplacian:
+    """The Dirichlet Laplacian on the interior of an ``ndim``-axis tensor
+    grid, matrix-free.
+
+    ``d2`` is the ``M x M`` interior second-derivative block, ``M = n - 1``.
+    Methods take and return interior vectors of length ``M**ndim``, the
+    row-major flattening of the field ``U[..., iy, ix]``, so x is the
+    fastest index: in 2D entry ``k = iy * M + ix`` and ``Lap U = D2 U +
+    U D2^T``, never assembled as an ``M^2 x M^2`` matrix.
+
+    Fast diagonalization (Lynch, Rice & Thomas, 1964; Haidvogel & Zang,
+    1979): one eigendecomposition ``D2 = V diag(w) V^-1`` gives the whole
+    Dirichlet spectrum, ``-(w_i + w_j + ...)`` with eigenvectors the outer
+    products of columns of ``V``, and solves ``(Lap + c I) U = R`` exactly
+    by applying ``V^-1`` along every axis, dividing by ``w_i + w_j + ...
+    + c`` and applying ``V`` along every axis.  It is computed on first
+    use (:attr:`fd`), so a 1D solve, which never needs it, never pays
+    for the eigendecomposition.
     """
 
-    matrix: np.ndarray
+    d2: np.ndarray
+    ndim: int
+
+    @cached_property
+    def fd(self) -> FastDiagonalization:
+        """The fast diagonalization of ``d2``.
+
+        Raises
+        ------
+        NumericalFailureError
+            From :func:`~chebratu.numerics.eig_general`, if the computed
+            spectrum of ``D2`` is not real (it is real and negative for
+            Chebyshev collocation).
+        """
+        eig = eig_general(self.d2)
+        values, vectors = eig.values[::-1], eig.vectors[:, ::-1]
+        return FastDiagonalization(vectors=vectors, inverse=np.linalg.inv(vectors),
+                                   sums=reduce(np.add.outer, [values] * self.ndim).reshape(-1))
 
     def apply(self, u) -> np.ndarray:
-        return self.matrix @ u
+        """``Lap u``, ``D2`` along each axis, summed."""
+        out = _along(self.d2, u, 0, self.ndim)
+        for axis in range(1, self.ndim):
+            out += _along(self.d2, u, axis, self.ndim)
+        return out
 
     def shifted(self, d) -> np.ndarray:
-        return self.matrix + np.diag(d)
+        """The dense 1D ``D2 + diag(d)``: the Jacobian of ``D2 u + lam f(u)``
+        when ``d = lam f'(u)`` and, negated, the operator of the linear
+        stability problem."""
+        return self.d2 + np.diag(d)
+
+    def shifted_inverse(self, c: float, r) -> np.ndarray:
+        """``(Lap + c I)^-1 r`` by fast diagonalization."""
+        fd = self.fd
+        for axis in range(self.ndim):
+            r = _along(fd.inverse, r, axis, self.ndim)
+        r = r / (fd.sums + c)
+        for axis in range(self.ndim):
+            r = _along(fd.vectors, r, axis, self.ndim)
+        return r
 
     def solve_shifted(self, d, b):
-        return lu_solve(self.shifted(d), b), 1
+        """Solve ``(Lap + diag(d)) x = b``; returns ``(x, linear_iterations)``.
+
+        In 1D by LU of :meth:`shifted`, one iteration; otherwise by GMRES
+        preconditioned with ``(Lap + mean(d) I)^-1``, counting its steps.
+        """
+        if self.ndim == 1:
+            return lu_solve(self.shifted(d), b), 1
+        c = float(np.mean(d))
+        return gmres(lambda x: self.apply(x) + d * x, b,
+                     lambda r: self.shifted_inverse(c, r))
+
+
+def laplacian(grid: Grid1D, ndim: int) -> Laplacian:
+    """The interior Laplacian of the ``ndim``-axis tensor grid of ``grid``,
+    which must have order at least 3."""
+    if grid.n < 3:
+        raise InvalidArgumentError(f"grid order must be at least 3, got {grid.n}")
+    return Laplacian(d2=second_diff_matrix(grid).interior, ndim=ndim)
 
 
 @dataclass(frozen=True)
@@ -353,18 +438,30 @@ def initial_guess(grid: Grid1D, ndim: int, guess, amplitude: float | None = None
     raise InvalidArgumentError(f"unknown {ndim}D guess {guess!r}")
 
 
-def solve_semilinear(operator, grid: Grid1D, lam: float, nonlinearity: Nonlinearity, u0,
-                     config: NewtonConfig | None = None) -> Solution:
-    """Newton-Kantorovich solution of ``Lap u + lam f(u) = 0`` on ``grid``.
+def solve(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, ndim: int, guess="zero",
+          amplitude: float | None = None, config: NewtonConfig | None = None) -> Solution:
+    """Newton-Kantorovich solution of ``Lap u + lam f(u) = 0`` on the
+    ``ndim``-axis tensor grid of ``grid``.
 
-    ``operator`` is the interior ``Lap`` (Dirichlet conditions already
-    imposed), with ``apply(u)`` and ``solve_shifted(d, b)`` on flattened
-    interior vectors, as on :class:`DenseOperator`.  The residual is
-    ``apply(u) + value(lam, u)``; the Jacobian ``Lap + diag(derivative(lam,
-    u))`` is passed on as its diagonal and solved by ``solve_shifted``.
-    Starts from the interior field ``u0``; returns a :class:`Solution`
-    labelled "unknown", and raises as :func:`newton_kantorovich`.
+    ``lam`` must be finite and nonnegative and the grid order at least 3.
+    The residual is ``Lap u + lam f(u)`` on the interior unknowns of the
+    :func:`laplacian` (Dirichlet conditions already imposed); each Newton
+    step solves ``Lap + diag(lam f'(u))`` by
+    :meth:`Laplacian.solve_shifted`.  The iteration starts from
+    :func:`initial_guess` of ``guess`` and ``amplitude``, the
+    eigenfunction guess taking its ground state from the operator's own
+    fast diagonalization.  Returns a :class:`Solution` labelled
+    "unknown".  For ``lam`` beyond the fold of the diagram the iteration
+    fails (in 2D a GMRES solve that stalls reports a singular Jacobian)
+    and the Newton error of :func:`newton_kantorovich` propagates with
+    its trace.
     """
+    if not np.isfinite(lam) or lam < 0.0:
+        raise InvalidArgumentError(f"lam must be finite and nonnegative, got {lam!r}")
+    operator = laplacian(grid, ndim)
+    u0 = initial_guess(grid, ndim, guess, amplitude,
+                       operator.fd.vectors[:, 0] if ndim > 1 else None)
+
     def residual(u):
         return operator.apply(u) + nonlinearity.value(lam, u)
 

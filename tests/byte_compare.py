@@ -22,10 +22,11 @@ The list covers all eight subcommands in json, csv and dat; n = 7, 12, 13,
 dimensions (the 1D solve, stability and coefficient subcommands with each
 term from both guesses); both branches; ``file:`` guesses in both
 dimensions; the exit-2 and exit-3 requests of ``tests/test_cli.py``; a
-gelfand pole (exit 4); and the help text of the program and of each
-subcommand.  Guess files are written to a temporary
-directory shared by both runs, so their paths, which the outputs record,
-agree.  pytest does not collect this file.
+gelfand pole (exit 4); a negative ``--lambda``, ``--n 3`` and an ``--L``
+whose square overflows; and the help text of the program and of each
+subcommand.  Guess files are written to a temporary directory shared by
+both runs, so their paths, which the outputs record, agree.  pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -181,6 +182,13 @@ def requests(tmp: Path) -> list[list[str]]:
         ["solve-1d", "--lambda", "0.25", "--tol", "0"],
         ["eig-2d", "--samples", "0"],
     ]
+    # one lam check and one grid-order floor (n >= 3) for both dimensions, and a
+    # half-width whose square is not a finite nonzero float
+    reqs += [["solve-1d", "--lambda", "-1"], ["stability-1d", "--lambda", "-1"],
+             ["solve-1d", "--lambda", "0.25", "--n", "3"]]
+    for argv in (["solve-1d", "--lambda", "0.25"], ["solve-2d", "--lambda", "0.5"],
+                 ["coeffs", "1d", "--lambda", "0.25"], ["eig-2d"], ["bifurcation-1d"]):
+        reqs.append([*argv, "--L", "1e200"])
     for command in ("solve-1d", "solve-2d"):
         for amplitude in ("nan", "inf"):
             reqs.append([command, "--lambda", "0.25", "--guess", "onepoint",
@@ -200,14 +208,19 @@ def requests(tmp: Path) -> list[list[str]]:
 
 
 def _serve(reqs) -> list:
-    """Run every request in this process; ``[exit code, output text]``."""
+    """Run every request in this process; ``[exit code, output text]``, the
+    code being ``"raised <exception type>"`` for a request that ``run``
+    does not return from."""
     from chebratu.cli import run
 
     results = []
     for argv in reqs:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = run(argv)
+            try:
+                code = run(argv)
+            except Exception as exc:  # a crash is a result to compare, not the end of the run
+                code = f"raised {type(exc).__name__}"
         text = out.getvalue()
         if "--output" in argv:
             path = Path(argv[argv.index("--output") + 1])
@@ -303,7 +316,7 @@ def main(argv=None) -> int:
             print(f"DIFFER exit {code_a} -> {code_b}, output "
                   f"{'same' if text_a == text_b else 'changed'}: {' '.join(argv)}")
             _print_numeric(code_a, code_b, text_a, text_b, overall)
-    codes = dict(sorted(Counter(code for code, _ in before).items()))
+    codes = dict(sorted(Counter(str(code) for code, _ in before).items()))
     print(f"{len(reqs)} requests (parent exit code: count {codes}), {differ} differ")
     if overall:
         print("largest difference per key path, requests that exit 0 in both trees:")

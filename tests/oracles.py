@@ -8,7 +8,7 @@ once per session.
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,14 +89,17 @@ def cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
     return d, x
 
 
-def kron_laplacian(n: int, half_width: float = 1.0) -> np.ndarray:
-    """Dense Dirichlet Laplacian ``kron(I, D2) + kron(D2, I)`` of the order-``n``
-    tensor grid on ``[-L, L]^2``, acting on interior vectors ordered
-    x-fastest; ``D2`` is the interior block of :func:`cheb` squared."""
+def kron_laplacian(n: int, half_width: float = 1.0, ndim: int = 2) -> np.ndarray:
+    """Dense Dirichlet Laplacian of the order-``n`` tensor grid on
+    ``[-L, L]^ndim``, the sum over the axes of ``kron(I, .., D2, .., I)``
+    with ``D2`` in that axis's place, acting on interior vectors ordered
+    x-fastest (the last axis fastest); ``D2`` is the interior block of
+    :func:`cheb` squared.  In 2D it is ``kron(D2, I) + kron(I, D2)``."""
     d, _ = cheb(n)
     d2 = (d @ d)[1:-1, 1:-1] / half_width**2
     eye = np.eye(n - 1)
-    return np.kron(eye, d2) + np.kron(d2, eye)
+    return sum(reduce(np.kron, [d2 if j == axis else eye for j in range(ndim)])
+               for axis in range(ndim))
 
 
 def _reaction(name: str, epsilon: float | None):

@@ -44,14 +44,14 @@ from chebratu import (
     diff_matrix,
     exact_solution,
     inverse_cheb_transform,
+    laplacian,
     laplacian_eigs,
     make_nonlinearity,
     second_diff_matrix,
+    solve,
     solve_1d,
-    solve_2d,
     stability_1d,
     symmetry_report,
-    tensor_laplacian,
 )
 from oracles import (
     collocation_umax,
@@ -99,7 +99,7 @@ def _dual_1d():
 
 @lru_cache(maxsize=None)
 def _solve_2d_exp(n, guess, amplitude):
-    return solve_2d(0.5, make_nonlinearity("exp"), cheb_points(n, 1.0), guess, amplitude)
+    return solve(0.5, make_nonlinearity("exp"), cheb_points(n, 1.0), 2, guess, amplitude)
 
 
 def test_criterion_01_fold_location():
@@ -311,10 +311,10 @@ def test_criterion_11_gelfand_and_hyperbolic_variants():
     t0 = time.perf_counter()
     grid = cheb_points(16, 1.0)
     exp_sol = _solve_2d_exp(16, "eigenfunction", 0.1)
-    gel = solve_2d(0.5, make_nonlinearity("gelfand", 1e-6), grid, "eigenfunction", 0.1)
+    gel = solve(0.5, make_nonlinearity("gelfand", 1e-6), grid, 2, "eigenfunction", 0.1)
     diff = np.max(np.abs(gel.interior - exp_sol.interior))
-    cosh_sol = solve_2d(0.5, make_nonlinearity("cosh"), grid, "eigenfunction", 0.1)
-    sinh_sol = solve_2d(0.5, make_nonlinearity("sinh"), grid, "eigenfunction", 0.1)
+    cosh_sol = solve(0.5, make_nonlinearity("cosh"), grid, 2, "eigenfunction", 0.1)
+    sinh_sol = solve(0.5, make_nonlinearity("sinh"), grid, 2, "eigenfunction", 0.1)
     checks = [
         (f"gelfand(1e-6) within 1e-5 of exp (diff {diff:.2e})", diff <= 1e-5),
         ("cosh variant converged", cosh_sol.trace.converged),
@@ -367,7 +367,7 @@ def test_criterion_12_property_suites():
         op = kron_laplacian(n, half_width)
         u = rng.uniform(-1.0, 1.0, (n - 1, n - 1))
         lhs = op @ u.reshape(-1)
-        rhs = tensor_laplacian(cheb_points(n, half_width)).apply(u.reshape(-1))
+        rhs = laplacian(cheb_points(n, half_width), 2).apply(u.reshape(-1))
         ok &= bool(np.max(np.abs(lhs - rhs)) <= 1e-11 * (np.max(np.abs(op)) + 1.0))
     checks.append(("Kronecker ordering identity (100 cases)", ok))
 

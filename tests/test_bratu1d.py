@@ -282,7 +282,10 @@ def test_solve_custom_guess(grid32):
 
 def test_solve_validation(grid32):
     with pytest.raises(InvalidArgumentError):
-        solve_1d(0.25, EXP, cheb_points(3, 1.0))
+        solve_1d(0.25, EXP, cheb_points(2, 1.0))
+    for lam in (-1.0, -1e-300, np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError, match="lam"):
+            solve_1d(lam, EXP, grid32)
     with pytest.raises(InvalidArgumentError):
         solve_1d(0.25, EXP, grid32, guess="mystery")
     with pytest.raises(InvalidArgumentError):

@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from chebratu import cheb_points, exact_solution
 from chebratu.cli import run
@@ -148,6 +149,32 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
             warnings.simplefilter("error", RuntimeWarning)
             assert run(argv[:1] + ["--lambda", "0.25"] + argv[1:]) == 2, argv
     capsys.readouterr()
+
+
+def test_lambda_and_grid_order_are_checked_alike_in_both_dimensions(tmp_path, capsys):
+    # one check in the shared solve: lam finite and nonnegative, grid order >= 3
+    for argv in (["solve-1d"], ["stability-1d"], ["coeffs", "1d"], ["solve-2d"],
+                 ["coeffs", "2d"]):
+        for lam in ("-1", "nan", "inf"):
+            assert run([*argv, "--lambda", lam]) == 2, (argv, lam)
+    for command in ("solve-1d", "solve-2d"):
+        assert run([command, "--lambda", "0.5", "--n", "2"]) == 2
+        doc = _run_json([command, "--lambda", "0.5", "--n", "3"], tmp_path)
+        assert doc["newton"]["converged"] is True
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["solve-1d", "--lambda", "0.25"],
+                                  ["solve-2d", "--lambda", "0.5"],
+                                  ["coeffs", "1d", "--lambda", "0.25"],
+                                  ["eig-2d"],
+                                  ["bifurcation-1d"]],
+                         ids=["solve-1d", "solve-2d", "coeffs-1d", "eig-2d", "bifurcation-1d"])
+@pytest.mark.parametrize("half_width", ["1e200", "1e-200"])
+def test_half_width_whose_square_is_not_a_float_exits_2(argv, half_width, capsys):
+    # L**2 overflows (or underflows to 0): an invalid argument, not a crash
+    assert run([*argv, "--L", half_width]) == 2
+    assert "half-width" in capsys.readouterr().err
 
 
 def test_coeffs_1d_solves_the_requested_nonlinearity(tmp_path):

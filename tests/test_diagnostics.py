@@ -7,11 +7,11 @@ from chebratu import (
     cheb_points,
     decay_report,
     initial_guess,
+    laplacian,
     make_nonlinearity,
+    solve,
     solve_1d,
-    solve_2d,
     symmetry_report,
-    tensor_laplacian,
 )
 from chebratu.errors import InvalidArgumentError
 
@@ -22,7 +22,7 @@ def _report_2d(grid, interior):
 
 
 def _eigenfunction(grid, amplitude):
-    ground = tensor_laplacian(grid).vectors[:, 0]
+    ground = laplacian(grid, 2).fd.vectors[:, 0]
     return initial_guess(grid, 2, "eigenfunction", amplitude, ground)
 
 
@@ -43,8 +43,8 @@ def solutions_1d():
 @pytest.fixture(scope="module")
 def solutions_2d(grid16):
     nl = make_nonlinearity("exp")
-    small = solve_2d(0.5, nl, grid16, "eigenfunction", 0.1)
-    big = solve_2d(0.5, nl, grid16, "onepoint", 6.0)
+    small = solve(0.5, nl, grid16, 2, "eigenfunction", 0.1)
+    big = solve(0.5, nl, grid16, 2, "onepoint", 6.0)
     return small, big
 
 

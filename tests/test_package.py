@@ -20,7 +20,9 @@ def test_package_exports_the_layer_lists_and_errors():
 
 
 def test_1d_and_2d_solves_take_the_same_parameters():
-    # the command line calls either solve the same way; only the operator differs
-    names = [list(inspect.signature(f).parameters) for f in (bratu1d.solve_1d, pde2d.solve_2d)]
-    assert names[0] == names[1] == ["lam", "nonlinearity", "grid", "guess", "amplitude",
-                                    "config"]
+    # both dimensions run newton.solve; solve_1d is its ndim = 1 case with the
+    # branch label on top, so it takes the same parameters but ndim
+    names = list(inspect.signature(newton.solve).parameters)
+    assert names == ["lam", "nonlinearity", "grid", "ndim", "guess", "amplitude", "config"]
+    assert list(inspect.signature(bratu1d.solve_1d).parameters) == [
+        name for name in names if name != "ndim"]

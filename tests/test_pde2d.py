@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-import chebratu.pde2d
+import chebratu.newton
 from chebratu import (
     barycentric_resample,
     cheb_points,
     initial_guess,
+    laplacian,
     laplacian_eigs,
     make_nonlinearity,
     onepoint_lambda,
-    solve_2d,
-    tensor_laplacian,
+    solve,
 )
 from chebratu.errors import (
     InvalidArgumentError,
@@ -44,12 +44,12 @@ def exp_nl():
 
 @pytest.fixture(scope="module")
 def small16(grid16, exp_nl):
-    return solve_2d(0.5, exp_nl, grid16, "eigenfunction", 0.1)
+    return solve(0.5, exp_nl, grid16, 2, "eigenfunction", 0.1)
 
 
 @pytest.fixture(scope="module")
 def big16(grid16, exp_nl):
-    return solve_2d(0.5, exp_nl, grid16, "onepoint", 6.0)
+    return solve(0.5, exp_nl, grid16, 2, "onepoint", 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -57,24 +57,46 @@ def big16(grid16, exp_nl):
 # ---------------------------------------------------------------------------
 
 
-def _operator_matrix(op, m):
+def _operator_matrix(op, size):
     """Columns ``op.apply(e_k)``: exact, since each unit field picks single
     entries of ``D2``."""
-    return np.stack([op.apply(e) for e in np.eye(m * m)], axis=1)
+    return np.stack([op.apply(e) for e in np.eye(size)], axis=1)
 
 
 def test_kronecker_identity_property():
-    """Oracle Kronecker matrix @ vec(U) == matrix-free apply, x-fastest."""
+    """Oracle Kronecker matrix @ vec(U) == matrix-free apply, x-fastest, on
+    random fields and column by column, for one, two and three axes."""
     rng = np.random.default_rng(41)
-    for _ in range(100):
-        n = int(rng.integers(4, 13))
-        half_width = float(rng.choice([0.5, 1.0, 2.0]))
-        lap = kron_laplacian(n, half_width)
-        u = rng.uniform(-1.0, 1.0, (n - 1, n - 1))
-        lhs = lap @ u.reshape(-1)
-        rhs = tensor_laplacian(cheb_points(n, half_width)).apply(u.reshape(-1))
-        scale = np.max(np.abs(rhs)) + np.max(np.abs(lap))
-        assert np.max(np.abs(lhs - rhs)) < 1e-11 * scale
+    for ndim, cases, n_max in ((1, 100, 13), (2, 100, 13), (3, 10, 7)):
+        for _ in range(cases):
+            n = int(rng.integers(3, n_max))
+            half_width = float(rng.choice([0.5, 1.0, 2.0]))
+            lap = kron_laplacian(n, half_width, ndim)
+            op = laplacian(cheb_points(n, half_width), ndim)
+            u = rng.uniform(-1.0, 1.0, (n - 1,) * ndim)
+            lhs = lap @ u.reshape(-1)
+            rhs = op.apply(u.reshape(-1))
+            scale = np.max(np.abs(rhs)) + np.max(np.abs(lap))
+            assert np.max(np.abs(lhs - rhs)) < 1e-11 * scale
+            assert np.max(np.abs(_operator_matrix(op, lap.shape[0]) - lap)) < 1e-11 * scale
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_solve_shifted_by_dimension(ndim):
+    """``Lap + diag(d)`` is solved by LU in 1D (one linear iteration, the
+    dense ``shifted`` matrix) and by GMRES otherwise."""
+    rng = np.random.default_rng(47)
+    op = laplacian(cheb_points(12, 1.0), ndim)
+    lap = kron_laplacian(12, 1.0, ndim)
+    d = rng.uniform(0.0, 2.0, lap.shape[0])
+    b = rng.uniform(-1.0, 1.0, lap.shape[0])
+    x, iterations = op.solve_shifted(d, b)
+    assert np.max(np.abs(lap @ x + d * x - b)) < 1e-10
+    if ndim == 1:
+        assert iterations == 1
+        assert np.max(np.abs(op.shifted(d) - lap - np.diag(d))) < 1e-12 * np.max(np.abs(lap))
+    else:
+        assert 1 < iterations <= _GMRES_MAXITER
 
 
 def test_laplacian_biquadratic_exact():
@@ -84,37 +106,39 @@ def test_laplacian_biquadratic_exact():
         X, Y = np.meshgrid(xi, xi)
         u = (1.0 - X**2) * (1.0 - Y**2)
         expect = -2.0 * (1.0 - Y**2) - 2.0 * (1.0 - X**2)
-        out = tensor_laplacian(grid).apply(u.reshape(-1))
+        out = laplacian(grid, 2).apply(u.reshape(-1))
         assert np.max(np.abs(out - expect.reshape(-1))) < 1e-11
 
 
 def test_laplacian_on_trimmed_constant_is_not_zero(grid16):
     # the Dirichlet restriction sees the implied zero boundary ring
-    out = tensor_laplacian(grid16).apply(np.ones(15 * 15))
+    out = laplacian(grid16, 2).apply(np.ones(15 * 15))
     assert np.max(np.abs(out)) > 1.0
 
 
 def test_laplacian_axis_swap_invariance(grid16):
     m = 15
-    op = _operator_matrix(tensor_laplacian(grid16), m)
+    op = _operator_matrix(laplacian(grid16, 2), m * m)
     perm = np.arange(m * m).reshape(m, m).T.reshape(-1)
     assert np.array_equal(op[np.ix_(perm, perm)], op)
 
 
 def test_laplacian_validation():
     with pytest.raises(InvalidArgumentError):
-        tensor_laplacian(cheb_points(2, 1.0))
+        laplacian(cheb_points(2, 1.0), 2)
 
 
-def test_fast_diagonalization_shifted_inverse(grid16):
-    """(Lap + c I)^-1 by fast diagonalization inverts the oracle matrix."""
+def test_fast_diagonalization_shifted_inverse():
+    """(Lap + c I)^-1 by fast diagonalization inverts the oracle matrix, on
+    two and three axes."""
     rng = np.random.default_rng(43)
-    op = tensor_laplacian(grid16)
-    lap = kron_laplacian(16)
-    for c in (0.0, 0.7, 40.0):
-        r = rng.uniform(-1.0, 1.0, 15 * 15)
-        x = op.shifted_inverse(c, r)
-        assert np.max(np.abs(lap @ x + c * x - r)) < 1e-11 * np.max(np.abs(lap))
+    for n, ndim in ((16, 2), (7, 3)):
+        op = laplacian(cheb_points(n, 1.0), ndim)
+        lap = kron_laplacian(n, 1.0, ndim)
+        for c in (0.0, 0.7, 40.0):
+            r = rng.uniform(-1.0, 1.0, lap.shape[0])
+            x = op.shifted_inverse(c, r)
+            assert np.max(np.abs(lap @ x + c * x - r)) < 1e-11 * np.max(np.abs(lap))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +180,7 @@ def test_eigenvalues_match_dense_kronecker_spectrum():
 def test_eigenvectors_are_eigenpairs(n):
     grid = cheb_points(n, 1.0)
     res = laplacian_eigs(grid, (n - 1) ** 2)
-    op = tensor_laplacian(grid)
+    op = laplacian(grid, 2)
     for k in range((n - 1) ** 2):
         v = res.vectors[:, k]
         assert abs(np.max(np.abs(v)) - 1.0) < 1e-13
@@ -177,7 +201,7 @@ def test_eig_count_validation(grid16):
 
 
 def _eigenfunction_guess(grid, amplitude):
-    ground = tensor_laplacian(grid).vectors[:, 0]
+    ground = laplacian(grid, 2).fd.vectors[:, 0]
     return initial_guess(grid, 2, "eigenfunction", amplitude, ground)
 
 
@@ -187,7 +211,7 @@ def test_eigenfunction_guess_positive_and_scaled(grid16):
     assert np.all(f > 0.0)
     assert f.max() == 0.1
     # the default amplitude is the CLI's 0.1
-    ground = tensor_laplacian(grid16).vectors[:, 0]
+    ground = laplacian(grid16, 2).fd.vectors[:, 0]
     assert np.array_equal(initial_guess(grid16, 2, "eigenfunction", None, ground), f)
 
 
@@ -205,7 +229,7 @@ def test_eigenfunction_guess_validation(grid16):
         with pytest.raises(InvalidArgumentError):
             _eigenfunction_guess(grid16, amplitude)
         with pytest.raises(InvalidArgumentError):
-            solve_2d(0.5, make_nonlinearity("exp"), grid16, "eigenfunction", amplitude)
+            solve(0.5, make_nonlinearity("exp"), grid16, 2, "eigenfunction", amplitude)
 
 
 def test_onepoint_guess(grid16):
@@ -217,23 +241,45 @@ def test_onepoint_guess(grid16):
     assert np.array_equal(initial_guess(grid16, 2, "onepoint"), f)
     for amplitude in (np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
-            solve_2d(0.5, make_nonlinearity("exp"), grid16, "onepoint", amplitude)
+            solve(0.5, make_nonlinearity("exp"), grid16, 2, "onepoint", amplitude)
 
 
-def test_eigenfunction_guess_solve_factors_d2_once(grid16, exp_nl, monkeypatch):
-    """The eigenfunction guess takes its ground state from the solve's own
-    fast diagonalization: one eig of D2 per solve."""
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """The matrix sizes of every ``eig_general`` call the operator makes."""
     calls = []
-    eig = chebratu.pde2d.eig_general
+    eig = chebratu.newton.eig_general
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return eig(*args, **kwargs)
 
-    monkeypatch.setattr(chebratu.pde2d, "eig_general", counting)
-    sol = solve_2d(0.5, exp_nl, grid16, "eigenfunction", 0.1)
-    assert calls == [(15, 15)]
-    assert abs(sol.u_max - UMAX_SMALL_N16) < 1e-9
+    monkeypatch.setattr(chebratu.newton, "eig_general", counting)
+    return calls
+
+
+@pytest.mark.parametrize("guess", ["zero", "onepoint"])
+def test_1d_solve_never_factors_d2(exp_nl, eig_calls, guess):
+    """LU solves need no fast diagonalization, so a 1D solve computes none."""
+    sol = solve(0.25, exp_nl, cheb_points(32, 1.0), 1, guess)
+    assert sol.trace.converged and sol.trace.linear_iterations == [1] * sol.trace.iterations
+    assert eig_calls == []
+
+
+def test_eigenfunction_guess_solve_factors_d2_once(grid16, exp_nl, eig_calls):
+    """The eigenfunction guess takes its ground state from the solve's own
+    fast diagonalization, which every GMRES step reuses: one eig of D2
+    per 2D solve, whatever the guess."""
+    for guess, amplitude in (("eigenfunction", 0.1), ("onepoint", 1.0), ("zero", None)):
+        eig_calls.clear()
+        sol = solve(0.5, exp_nl, grid16, 2, guess, amplitude)
+        assert eig_calls == [(15, 15)], guess
+        assert abs(sol.u_max - UMAX_SMALL_N16) < 1e-9
+
+
+def test_laplacian_eigs_factors_d2_once(grid16, eig_calls):
+    laplacian_eigs(grid16, 10)
+    assert eig_calls == [(15, 15)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +300,7 @@ def test_small_solution_value_and_effort(small16):
 
 def test_small_solution_grid_independent(exp_nl):
     grid = cheb_points(20, 1.0)
-    sol = solve_2d(0.5, exp_nl, grid, "eigenfunction", 0.1)
+    sol = solve(0.5, exp_nl, grid, 2, "eigenfunction", 0.1)
     assert abs(sol.u_max - UMAX_SMALL_N20) < 1e-9
     assert abs(sol.u_max - UMAX_SMALL_N16) < 1e-9
 
@@ -277,7 +323,7 @@ def test_solve_matches_dense_reference(n, name):
     eps = 0.1 if name == "gelfand" else None
     ref, iterations = collocation_newton_2d(0.5, n, name, eps)
     grid = cheb_points(n, 1.0)
-    sol = solve_2d(0.5, make_nonlinearity(name, eps), grid, "eigenfunction", 0.1)
+    sol = solve(0.5, make_nonlinearity(name, eps), grid, 2, "eigenfunction", 0.1)
     assert np.max(np.abs(sol.interior - ref)) <= 1e-10
     assert sol.trace.iterations == iterations
 
@@ -307,20 +353,20 @@ def test_solutions_inherit_square_symmetries(small16, big16):
 
 def test_sinh_zero_solution(grid16):
     nl = make_nonlinearity("sinh")
-    sol = solve_2d(0.5, nl, grid16, "zero")
+    sol = solve(0.5, nl, grid16, 2, "zero")
     assert sol.trace.iterations == 1
     assert np.max(np.abs(sol.interior)) == 0.0
 
 
 def test_sinh_from_eigenfunction_guess_falls_to_zero(grid16):
     nl = make_nonlinearity("sinh")
-    sol = solve_2d(0.5, nl, grid16, "eigenfunction", 0.1)
+    sol = solve(0.5, nl, grid16, 2, "eigenfunction", 0.1)
     assert np.max(np.abs(sol.interior)) < 1e-12
 
 
 def test_cosh_solution(grid16):
     nl = make_nonlinearity("cosh")
-    sol = solve_2d(0.5, nl, grid16, np.zeros((15, 15)))
+    sol = solve(0.5, nl, grid16, 2, np.zeros((15, 15)))
     assert sol.trace.converged
     assert abs(sol.u_max - 0.14833064246019098) < 1e-9
     assert np.max(np.abs(sol.interior - np.rot90(sol.interior))) < 1e-9
@@ -328,24 +374,24 @@ def test_cosh_solution(grid16):
 
 def test_gelfand_approaches_exp(grid16, exp_nl, small16):
     nl = make_nonlinearity("gelfand", 1e-6)
-    sol = solve_2d(0.5, nl, grid16, "eigenfunction", 0.1)
+    sol = solve(0.5, nl, grid16, 2, "eigenfunction", 0.1)
     assert np.max(np.abs(sol.interior - small16.interior)) < 1e-5
 
 
 def test_solve_above_fold_fails(grid16, exp_nl):
     # the one-point diagram peaks near 1.84; lam = 5 is far beyond the fold
     with pytest.raises(NewtonError) as info:
-        solve_2d(5.0, exp_nl, grid16, "eigenfunction", 0.1)
+        solve(5.0, exp_nl, grid16, 2, "eigenfunction", 0.1)
     assert info.value.trace is not None
 
 
 def test_solve_validation(grid16, exp_nl):
     with pytest.raises(InvalidArgumentError):
-        solve_2d(-0.1, exp_nl, grid16, "eigenfunction", 0.1)
+        solve(-0.1, exp_nl, grid16, 2, "eigenfunction", 0.1)
     # a guess sampled on another grid
     other = cheb_points(12, 1.0)
     with pytest.raises(InvalidArgumentError):
-        solve_2d(0.5, exp_nl, grid16, _eigenfunction_guess(other, 0.1))
+        solve(0.5, exp_nl, grid16, 2, _eigenfunction_guess(other, 0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +418,7 @@ def test_cross_grid_residual_consistency(exp_nl):
     sups = {}
     for n in (14, 20):
         grid = cheb_points(n, 1.0)
-        sol = solve_2d(0.5, exp_nl, grid, "eigenfunction", 0.1)
+        sol = solve(0.5, exp_nl, grid, 2, "eigenfunction", 0.1)
         sups[n], field = _cross_grid_residual(sol)
         if n == 20:
             m = field.shape[0]
@@ -389,7 +435,7 @@ def test_cross_grid_residual_consistency(exp_nl):
 )
 def test_cross_grid_residual_tight_bound(exp_nl):
     grid = cheb_points(20, 1.0)
-    sol = solve_2d(0.5, exp_nl, grid, "eigenfunction", 0.1)
+    sol = solve(0.5, exp_nl, grid, 2, "eigenfunction", 0.1)
     sup, _ = _cross_grid_residual(sol)
     assert sup <= 1e-4
 
