@@ -212,8 +212,9 @@ def solve_1d(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, guess="zero",
 
     The shared :func:`~chebratu.newton.solve` with ``ndim=1``: the
     interior system ``D2 u + lam f(u) = 0``, each Newton step an LU solve,
-    from ``guess`` and ``amplitude`` (``"zero"``, ``"onepoint"`` or a
-    custom vector).  For the exp term and ``0 < lam < lam*`` the result
+    from ``guess`` and ``amplitude`` (``"zero"``, ``"onepoint"``,
+    ``"eigenfunction"`` or a custom vector; see
+    :func:`~chebratu.newton.initial_guess`).  For the exp term and ``0 < lam < lam*`` the result
     is labeled "small" when its interpolated center value lies below the
     fold amplitude ``A*``, else "big"; otherwise, and for every other term
     (the closed form covers only exp), "unknown".

@@ -1,12 +1,11 @@
 """Chebyshev-Gauss-Lobatto grids, differentiation matrices and transforms.
 
-This module provides the collocation machinery used by the 1D and 2D
-solvers: Lobatto grids on ``[-L, L]``, first- and second-order
-differentiation matrices (with the interior restriction that imposes
-homogeneous Dirichlet conditions), forward/inverse Chebyshev coefficient
-transforms and barycentric resampling of grid data at arbitrary points.
-The transforms and the resampler act along every axis of their input, so
-one function serves a 1D vector and a 2D tensor-grid array alike.
+This module provides the collocation machinery of the solvers: Lobatto
+grids on ``[-L, L]``, first- and second-order differentiation matrices,
+forward/inverse Chebyshev coefficient transforms and barycentric
+resampling of grid data at arbitrary points.  The transforms and the
+resampler act along every axis of their input, so one function serves a
+vector and a tensor-grid array of any number of axes alike.
 
 Conventions
 -----------
@@ -33,7 +32,6 @@ from .errors import InvalidArgumentError
 
 __all__ = [
     "Grid1D",
-    "DiffMatrix",
     "cheb_points",
     "diff_matrix",
     "second_diff_matrix",
@@ -70,25 +68,6 @@ class Grid1D:
     points: np.ndarray
 
 
-@dataclass(frozen=True)
-class DiffMatrix:
-    """Dense collocation differentiation matrix on a :class:`Grid1D`.
-
-    Attributes
-    ----------
-    entries : ndarray
-        The full ``(n + 1) x (n + 1)`` differentiation matrix of a grid of
-        order ``n``.
-    interior : ndarray or None
-        For a second derivative, the ``(n - 1) x (n - 1)`` block obtained
-        by deleting the first and last rows and columns (homogeneous
-        Dirichlet restriction); ``None`` for a first derivative.
-    """
-
-    entries: np.ndarray
-    interior: np.ndarray | None = None
-
-
 def _unit_points(n: int) -> np.ndarray:
     """Lobatto nodes ``cos(j pi / n)`` on ``[-1, 1]``, exactly symmetrized.
 
@@ -107,12 +86,14 @@ def _unit_points(n: int) -> np.ndarray:
 
 
 def _check_half_width(half_width: float) -> float:
-    """``half_width`` as a float, if it is positive and its square is a
-    finite nonzero float (the second derivative divides by it)."""
+    """``half_width`` as a float, if it is positive and its square and that
+    square's reciprocal are finite nonzero floats (the second derivative
+    and the closed-form curve divide by the square)."""
     L = float(half_width)
-    if not (L > 0.0 and 0.0 < L * L < np.inf):
+    if not (L > 0.0 and 0.0 < L * L < np.inf and 1.0 / (L * L) < np.inf):
         raise InvalidArgumentError(
-            f"half-width must be positive with a finite nonzero square, got {half_width!r}"
+            f"half-width must be positive with a finite nonzero square and reciprocal "
+            f"square, got {half_width!r}"
         )
     return L
 
@@ -125,8 +106,8 @@ def cheb_points(n: int, half_width: float = 1.0) -> Grid1D:
     n : int
         Polynomial order, at least 1; the grid has ``n + 1`` points.
     half_width : float
-        Half-width ``L > 0`` of the domain ``[-L, L]``, with ``L**2`` a
-        finite nonzero float.
+        Half-width ``L > 0`` of the domain ``[-L, L]``, with ``L**2`` and
+        ``1 / L**2`` finite nonzero floats.
 
     Returns
     -------
@@ -152,8 +133,8 @@ def _diff_matrix_reference(n: int) -> np.ndarray:
     return D
 
 
-def diff_matrix(grid: Grid1D) -> DiffMatrix:
-    """First-order differentiation matrix for ``grid``.
+def diff_matrix(grid: Grid1D) -> np.ndarray:
+    """First-order differentiation matrix for ``grid``, read-only.
 
     The returned matrix ``D`` maps samples of a function at the grid
     points to samples of the derivative of its degree-``n`` interpolant;
@@ -162,21 +143,24 @@ def diff_matrix(grid: Grid1D) -> DiffMatrix:
     share bitwise-identical reference entries.
     """
     D = _diff_matrix_reference(grid.n)
-    return DiffMatrix(entries=_readonly(D / grid.half_width))
+    return _readonly(D / grid.half_width)
 
 
-def second_diff_matrix(grid: Grid1D) -> DiffMatrix:
-    """Second-order differentiation matrix, as the square of the first.
-
-    The ``interior`` field holds the matrix with first/last rows and
-    columns deleted, which applies the operator to functions vanishing at
-    both endpoints (homogeneous Dirichlet conditions).
-    """
+def second_diff_matrix(grid: Grid1D) -> np.ndarray:
+    """Second-order differentiation matrix, as the square of the first,
+    read-only; an entry that overflows (a half-width too small for the
+    grid order) raises :class:`~chebratu.errors.InvalidArgumentError`."""
     if grid.n < 2:
         raise InvalidArgumentError("second derivative needs grid order >= 2")
     D = _diff_matrix_reference(grid.n)
-    D2 = (D @ D) / grid.half_width**2
-    return DiffMatrix(entries=_readonly(D2), interior=_readonly(D2[1:-1, 1:-1]))
+    with np.errstate(over="ignore"):
+        D2 = (D @ D) / grid.half_width**2
+    if not np.all(np.isfinite(D2)):
+        raise InvalidArgumentError(
+            f"half-width {grid.half_width!r} is too small for grid order {grid.n}: "
+            f"the second-derivative matrix overflows"
+        )
+    return _readonly(D2)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +196,12 @@ def _inverse_1d(coeffs: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _tensor(grid: Grid1D, a, what: str) -> np.ndarray:
-    """``a`` as a float array of ``n + 1`` entries along each of its 1 or 2 axes."""
+    """``a`` as a float array of one or more axes of ``n + 1`` entries each."""
     a = np.asarray(a, dtype=float)
     m = grid.n + 1
-    if a.ndim not in (1, 2) or a.shape != (m,) * a.ndim:
+    if a.ndim == 0 or a.shape != (m,) * a.ndim:
         raise InvalidArgumentError(
-            f"expected {what} of shape ({m},) or ({m}, {m}) for grid order {grid.n}, "
+            f"expected {what} with {m} entries along each axis for grid order {grid.n}, "
             f"got shape {a.shape}"
         )
     return a
@@ -229,16 +213,16 @@ def cheb_transform(grid: Grid1D, values) -> np.ndarray:
     Parameters
     ----------
     grid : Grid1D
-    values : array_like, shape (n + 1,) or (n + 1, n + 1)
+    values : array_like, shape (n + 1,) * ndim, ndim >= 1
         Samples at the grid points (descending order along each axis);
-        ``values[i, j]`` is the sample at ``(x_i, x_j)`` on the tensor grid.
+        ``values[i, j, ...]`` is the sample at ``(x_i, x_j, ...)``.
 
     Returns
     -------
     ndarray, read-only, same shape as ``values``
         Coefficients ``a_k`` of ``sum_k a_k T_k(x / L)``, index 0..n; in
         2D ``a[k, l]`` multiplies ``T_k(. / L) T_l(. / L)`` with ``k``
-        attached to axis 0 and ``l`` to axis 1.
+        attached to axis 0 and ``l`` to axis 1, and so on for more axes.
     """
     a = _tensor(grid, values, "samples")
     for axis in range(a.ndim):
@@ -292,10 +276,10 @@ def _resample_matrix(grid: Grid1D, targets: np.ndarray) -> np.ndarray:
 def barycentric_resample(grid: Grid1D, values, *targets) -> np.ndarray:
     """Evaluate the interpolant of ``values`` at arbitrary points.
 
-    ``values`` is a vector or a square tensor-grid array and ``targets``
-    holds one array of points per axis; in 2D the result has shape
-    ``(len(targets[0]), len(targets[1]))``.  Targets coinciding with grid
-    points reproduce the input values exactly; other targets use the
+    ``values`` is a tensor-grid array of any number of axes and
+    ``targets`` holds one array of points per axis; the result has shape
+    ``(len(targets[0]), len(targets[1]), ...)``.  Targets coinciding with
+    grid points reproduce the input values exactly; other targets use the
     barycentric formula, which is backward-stable on Lobatto points.
     """
     v = _tensor(grid, values, "samples")
@@ -303,6 +287,9 @@ def barycentric_resample(grid: Grid1D, values, *targets) -> np.ndarray:
         raise InvalidArgumentError(
             f"expected one target array per axis ({v.ndim}), got {len(targets)}"
         )
-    E = [_resample_matrix(grid, np.atleast_1d(np.asarray(t, dtype=float))) for t in targets]
-    out = E[0] @ v
-    return out @ E[1].T if v.ndim == 2 else out
+    for t in targets:
+        E = _resample_matrix(grid, np.atleast_1d(np.asarray(t, dtype=float)))
+        # resample the leading axis and rotate it to the back: after one
+        # pass per axis every axis is resampled and back in its place
+        v = (E @ v.reshape(len(v), -1)).T.reshape(*v.shape[1:], len(E))
+    return v

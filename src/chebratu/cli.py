@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("solve-1d", "solve the 1D problem"),
                             ("stability-1d", "solve and classify linear stability")):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, guesses=["zero", "onepoint"])
+        _add_common(p, guesses=["zero", "onepoint", "eigenfunction"])
         p.set_defaults(dim="1d")
 
     p = sub.add_parser("eig-2d", help="eigenvalues of the 2D Dirichlet Laplacian")

@@ -4,7 +4,8 @@ Smoothness of a converged solution shows up as exponential decay of its
 Chebyshev coefficients; evenness in each variable shows up as odd-index
 coefficients at rounding level; invariance of the square problem under
 the dihedral symmetries shows up directly in the field values.  These
-reports quantify all three.
+reports quantify all three: the decay report for samples of any number
+of axes, the symmetry report for a square array.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class DecayReport:
     over even and odd indices: "odd" means any index odd and "even"
     means every index even, the origin excluded.  ``fit_rate`` is the
     least-squares slope of ``log10 |a|`` against ``k`` along the even
-    diagonal ``a_k`` (1D) or ``a_{k,k}`` (2D), over its pre-plateau range
+    diagonal ``a_{k,...,k}`` (``a_k`` in 1D), over its pre-plateau range
     (None when fewer than four points precede the plateau); ``plateau``
     estimates the rounding floor.
     """
@@ -83,10 +84,10 @@ def _fit_and_plateau(indices: np.ndarray, mags: np.ndarray):
 
 
 def decay_report(grid: Grid1D, values) -> DecayReport:
-    """Decay/parity report of grid samples, a vector or a square array.
+    """Decay/parity report of tensor-grid samples of any number of axes.
 
     A :class:`~chebratu.newton.Solution` passes ``values.T``: its full-grid
-    samples, with ``x`` on axis 0 in 2D (``.T`` leaves a vector as it is).
+    samples, with ``x`` on axis 0 (``.T`` leaves a vector as it is).
     """
     mags = np.abs(cheb_transform(grid, values))
     odd = np.logical_or.reduce(np.indices(mags.shape) % 2 == 1)

@@ -7,13 +7,13 @@ below its tolerance (see :class:`NewtonConfig`: in practice the residual
 test ends it).  Failures raise with the partial trace attached so callers
 can inspect how far the iteration got.
 
-The 1D and 2D problems share one discrete form, ``Lap u + lam f(u) = 0``
-on the interior unknowns, and everything around its solve: one interior
-operator (:class:`Laplacian`, for any number of axes), one starting
-field (:func:`initial_guess`), one Newton solve (:func:`solve`, for any
-reaction term of :func:`make_nonlinearity`) and one result
-(:class:`Solution`).  The dimension only picks how the Newton steps
-are solved: by LU in 1D, by preconditioned GMRES otherwise.
+The problems in any number of dimensions share one discrete form,
+``Lap u + lam f(u) = 0`` on the interior unknowns, and everything around
+its solve: one interior operator (:class:`Laplacian`, for any number of
+axes), one starting field (:func:`initial_guess`), one Newton solve
+(:func:`solve`, for any reaction term of :func:`make_nonlinearity`) and
+one result (:class:`Solution`).  The dimension only picks how the Newton
+steps are solved: by LU in 1D, by preconditioned GMRES otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .chebyshev import Grid1D, barycentric_resample, second_diff_matrix
+from .chebyshev import Grid1D, _readonly, barycentric_resample, second_diff_matrix
 from .errors import (
     DivergenceError,
     InvalidArgumentError,
@@ -238,7 +238,8 @@ def make_nonlinearity(name: str, epsilon: float | None = None) -> Nonlinearity:
     ``"exp"`` is the classical Bratu term ``exp(u)``; ``"gelfand"`` the
     perturbed ``exp(u / (1 + eps u))`` for ``0 < eps < 1``; ``"cosh"``
     and ``"sinh"`` the hyperbolic variants.  Each call with the same
-    name returns the same object, except for ``"gelfand"``.
+    name returns the same object, except for ``"gelfand"``, the only term
+    that takes an ``epsilon``.
     """
     if name == "gelfand":
         if epsilon is None or not (0.0 < epsilon < 1.0):
@@ -248,6 +249,8 @@ def make_nonlinearity(name: str, epsilon: float | None = None) -> Nonlinearity:
         return Nonlinearity(*_gelfand_terms(float(epsilon)))
     if name not in _TERMS:
         raise InvalidArgumentError(f"unknown nonlinearity {name!r}")
+    if epsilon is not None:
+        raise InvalidArgumentError(f"epsilon applies only to gelfand, not to {name!r}")
     return _TERMS[name]
 
 
@@ -353,20 +356,22 @@ class Laplacian:
 
 def laplacian(grid: Grid1D, ndim: int) -> Laplacian:
     """The interior Laplacian of the ``ndim``-axis tensor grid of ``grid``,
-    which must have order at least 3."""
+    which must have order at least 3.  Its ``d2`` is :func:`second_diff_matrix`
+    without the first and last rows and columns (homogeneous Dirichlet
+    conditions), as a contiguous read-only copy."""
     if grid.n < 3:
         raise InvalidArgumentError(f"grid order must be at least 3, got {grid.n}")
-    return Laplacian(d2=second_diff_matrix(grid).interior, ndim=ndim)
+    return Laplacian(d2=_readonly(second_diff_matrix(grid)[1:-1, 1:-1]), ndim=ndim)
 
 
 @dataclass(frozen=True)
 class Solution:
-    """A converged collocation solution in one or two dimensions.
+    """A converged collocation solution in any number of dimensions.
 
     ``values`` holds the full grid, one axis per dimension, with exact
     zeros on the boundary; a 2D field is indexed ``values[iy, ix]``.
     ``branch``, for the reaction term ``nonlinearity``, is "small", "big"
-    or "unknown" (always "unknown" in 2D and for terms other than exp).
+    or "unknown" (always "unknown" above 1D and for terms other than exp).
     """
 
     grid: Grid1D
@@ -391,18 +396,20 @@ class Solution:
         return float(center.reshape(-1)[0])
 
 
-def initial_guess(grid: Grid1D, ndim: int, guess, amplitude: float | None = None,
-                  ground=None) -> np.ndarray:
-    """Interior starting field, shape ``(n - 1,) * ndim``, of a solve on ``grid``.
+def initial_guess(grid: Grid1D, operator: Laplacian, guess,
+                  amplitude: float | None = None) -> np.ndarray:
+    """Interior starting field, shape ``(n - 1,) * operator.ndim``, of a
+    solve on ``grid`` with the interior Laplacian ``operator``.
 
     ``guess`` is an array of full-grid or interior shape, or a name:
 
     * ``"zero"``, the zero field;
     * ``"onepoint"``, the lowest polynomial basis function, ``amplitude``
       times the product of ``1 - (x/L)**2`` over the axes (an outer product
-      of the 1D factor, so it carries the square's symmetries exactly);
-    * ``"eigenfunction"`` (2D only), ``outer(v0, v0)`` for the ground state
-      ``ground = v0`` of the interior ``D2``, scaled so its maximum equals
+      of the 1D factor, so it carries the domain's symmetries exactly);
+    * ``"eigenfunction"``, the ground state of ``operator``, the outer
+      product over its axes of the ground state ``v0`` of ``operator.fd``
+      (computed for this guess only), scaled so its maximum equals
       ``amplitude`` exactly.
 
     ``amplitude=None`` means 6 for ``onepoint`` and 0.1 for
@@ -410,6 +417,7 @@ def initial_guess(grid: Grid1D, ndim: int, guess, amplitude: float | None = None
     ``eigenfunction``.  The eigenfunction guess targets the small branch,
     the one-point guess the big one.
     """
+    ndim = operator.ndim
     shape = (grid.n - 1,) * ndim
     if not isinstance(guess, str):
         u = np.asarray(guess, dtype=float)
@@ -429,11 +437,11 @@ def initial_guess(grid: Grid1D, ndim: int, guess, amplitude: float | None = None
         amplitude = 6.0 if amplitude is None else amplitude
         factor = 1.0 - (grid.points[1:-1] / grid.half_width) ** 2
         return amplitude * reduce(np.multiply.outer, [factor] * ndim)
-    if guess == "eigenfunction" and ndim == 2:
+    if guess == "eigenfunction":
         amplitude = 0.1 if amplitude is None else amplitude
         if amplitude <= 0.0:
             raise InvalidArgumentError("guess amplitude must be positive")
-        field = np.outer(ground, ground)
+        field = reduce(np.multiply.outer, [operator.fd.vectors[:, 0]] * ndim)
         return field * (amplitude / field.max())
     raise InvalidArgumentError(f"unknown {ndim}D guess {guess!r}")
 
@@ -448,19 +456,16 @@ def solve(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, ndim: int, guess
     :func:`laplacian` (Dirichlet conditions already imposed); each Newton
     step solves ``Lap + diag(lam f'(u))`` by
     :meth:`Laplacian.solve_shifted`.  The iteration starts from
-    :func:`initial_guess` of ``guess`` and ``amplitude``, the
-    eigenfunction guess taking its ground state from the operator's own
-    fast diagonalization.  Returns a :class:`Solution` labelled
-    "unknown".  For ``lam`` beyond the fold of the diagram the iteration
-    fails (in 2D a GMRES solve that stalls reports a singular Jacobian)
-    and the Newton error of :func:`newton_kantorovich` propagates with
-    its trace.
+    :func:`initial_guess` of ``guess`` and ``amplitude``.  Returns a
+    :class:`Solution` labelled "unknown".  For ``lam`` beyond the fold of
+    the diagram the iteration fails (in 2D a GMRES solve that stalls
+    reports a singular Jacobian) and the Newton error of
+    :func:`newton_kantorovich` propagates with its trace.
     """
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidArgumentError(f"lam must be finite and nonnegative, got {lam!r}")
     operator = laplacian(grid, ndim)
-    u0 = initial_guess(grid, ndim, guess, amplitude,
-                       operator.fd.vectors[:, 0] if ndim > 1 else None)
+    u0 = initial_guess(grid, operator, guess, amplitude)
 
     def residual(u):
         return operator.apply(u) + nonlinearity.value(lam, u)
@@ -479,10 +484,13 @@ def convergence_order_estimate(trace: NewtonTrace) -> float | None:
 
     Using the final three update norms above the rounding floor ``1e-14``,
     ``p = log(||d_{k+1}|| / ||d_k||) / log(||d_k|| / ||d_{k-1}||)``; None
-    if fewer than three update norms exceed the floor.
+    if fewer than three update norms exceed the floor or if ``p`` is not
+    finite (two equal update norms).
     """
     usable = [v for v in trace.update_norms if v > _ORDER_FLOOR]
     if len(usable) < 3:
         return None
     a, b, c = usable[-3:]
-    return float(np.log(c / b) / np.log(b / a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = float(np.log(c / b) / np.log(b / a))
+    return p if np.isfinite(p) else None

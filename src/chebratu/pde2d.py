@@ -3,16 +3,17 @@
 Steady states of ``Lap(u) + lam * f(u) = 0`` with homogeneous Dirichlet
 conditions, discretized by tensor-product Chebyshev collocation: with the
 interior second-derivative block ``D2`` of each axis, the discrete
-Laplacian of the interior field ``U[iy, ix]`` is ``D2 U + U D2^T``, the
-two-axis :class:`~chebratu.newton.Laplacian`.  A 2D solve is the shared
-:func:`~chebratu.newton.solve` with ``ndim=2``, each Newton step a GMRES
-solve preconditioned by the operator's fast diagonalization.
+Laplacian of the interior field ``U[iy, ix]`` is ``D2 U + U D2^T``: the
+:class:`~chebratu.newton.Laplacian`, which serves any number of axes,
+with two.  A 2D solve is the shared :func:`~chebratu.newton.solve` with
+``ndim=2``, each Newton step a GMRES solve preconditioned by the
+operator's fast diagonalization.
 
 This module holds what is 2D-only: the Dirichlet spectrum, read off the
 same fast diagonalization, and the one-point weighted-residual sketch of
-the diagram.  The ``"eigenfunction"`` guess of a 2D solve, the ground
-state of the Dirichlet Laplacian, targets the small branch; the lowest
-polynomial basis function ``A (1 - x^2)(1 - y^2)`` targets the big
+the diagram.  The ``"eigenfunction"`` guess, the ground state of the
+Dirichlet Laplacian in any number of axes, targets the small branch; the
+lowest polynomial basis function ``A (1 - x^2)(1 - y^2)`` targets the big
 branch, and its one-point estimate ``lam ~ 3.2 A exp(-0.64 A)`` (Boyd,
 1986) sketches the bifurcation diagram.
 """

@@ -20,11 +20,12 @@ that exit 0 in both trees.
 The list covers all eight subcommands in json, csv and dat; n = 7, 12, 13,
 15, 16, 32, 48 and 64; the exp, gelfand, cosh and sinh terms in both
 dimensions (the 1D solve, stability and coefficient subcommands with each
-term from both guesses); both branches; ``file:`` guesses in both
-dimensions; the exit-2 and exit-3 requests of ``tests/test_cli.py``; a
-gelfand pole (exit 4); a negative ``--lambda``, ``--n 3`` and an ``--L``
-whose square overflows; and the help text of the program and of each
-subcommand.  Guess files are written to a temporary directory shared by
+term from both guesses); both branches; the eigenfunction guess in both
+dimensions; ``file:`` guesses in both dimensions; the exit-2 and exit-3
+requests of ``tests/test_cli.py``; a gelfand pole (exit 4); a negative
+``--lambda``, ``--n 3``, ``--epsilon`` with a term other than gelfand, an
+``--L`` whose square overflows or is subnormal and one whose ``D2``
+overflows; and the help text of the program and of each subcommand.  Guess files are written to a temporary directory shared by
 both runs, so their paths, which the outputs record, agree.  pytest does
 not collect this file.
 """
@@ -108,6 +109,12 @@ def requests(tmp: Path) -> list[list[str]]:
                               "--guess", guess, *f]
                     reqs += [["solve-1d", *common], ["stability-1d", *common],
                              ["coeffs", "1d", *common]]
+        # the paper's small-branch start, the first eigenvector, in 1D
+        for n in ("16", "32"):
+            for lam in ("0.1", "0.87"):
+                common = ["--lambda", lam, "--n", n, "--guess", "eigenfunction", *f]
+                reqs += [["solve-1d", *common], ["stability-1d", *common],
+                         ["coeffs", "1d", *common]]
         reqs.append(["solve-1d", "--lambda", "0.25", "--tol", "1e-4", "--max-iter", "12", *f])
         reqs.append(["stability-1d", "--lambda", "0.1", *f])
         reqs.append(["coeffs", "1d", "--lambda", "0.25", *f])
@@ -159,6 +166,7 @@ def requests(tmp: Path) -> list[list[str]]:
         ["bifurcation-1d", "--samples", "1"],
         ["bifurcation-2d-approx", "--samples", "1"],
         ["coeffs", "1d", "--lambda", "0.25", "--nonlinearity", "cosh", "--epsilon", "0.3"],
+        ["solve-1d", "--lambda", "0.3", "--nonlinearity", "exp", "--epsilon", "0.5"],
         ["solve-1d", "--lambda", "0.25", "--output", str(tmp / "no" / "dir.json")],
         ["solve-1d"],
         ["solve-2d", "--lambda", "0.5", "--nonlinearity", "tanh"],
@@ -189,6 +197,12 @@ def requests(tmp: Path) -> list[list[str]]:
     for argv in (["solve-1d", "--lambda", "0.25"], ["solve-2d", "--lambda", "0.5"],
                  ["coeffs", "1d", "--lambda", "0.25"], ["eig-2d"], ["bifurcation-1d"]):
         reqs.append([*argv, "--L", "1e200"])
+    # a subnormal L**2, whose reciprocal overflows, and an L whose D2 overflows
+    for argv in (["solve-1d", "--lambda", "0.5"], ["solve-2d", "--lambda", "0.5"],
+                 ["bifurcation-1d"]):
+        reqs.append([*argv, "--L", "1e-160"])
+    reqs += [["solve-1d", "--lambda", "0.5", "--L", "1e-153"],
+             ["solve-2d", "--lambda", "0.5", "--L", "1e-153"]]
     for command in ("solve-1d", "solve-2d"):
         for amplitude in ("nan", "inf"):
             reqs.append([command, "--lambda", "0.25", "--guess", "onepoint",

@@ -239,7 +239,7 @@ def test_solve_dual_branches_match_oracle(grid32, dual_solutions):
 
 
 def test_solution_invariants(grid32, dual_solutions):
-    d2 = second_diff_matrix(grid32).interior
+    d2 = second_diff_matrix(grid32)[1:-1, 1:-1]
     for sol in dual_solutions:
         assert sol.values[0] == 0.0 and sol.values[-1] == 0.0
         assert np.max(np.abs(sol.values - sol.values[::-1])) < 1e-10
@@ -280,6 +280,18 @@ def test_solve_custom_guess(grid32):
     assert sol.trace.iterations <= 3
 
 
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_eigenfunction_guess_lands_on_the_small_branch(n):
+    """The paper's small-branch start, the first eigenvector of the linear
+    problem, in 1D as in 2D."""
+    grid = cheb_points(n, 1.0)
+    for lam in (0.1, 0.5, 0.87):
+        sol = solve_1d(lam, EXP, grid, "eigenfunction")
+        assert sol.trace.converged and sol.trace.iterations <= 6, lam
+        assert sol.branch == "small"
+        assert abs(sol.center_value() - branch_amplitudes(lam)[0]) <= 1e-8
+
+
 def test_solve_validation(grid32):
     with pytest.raises(InvalidArgumentError):
         solve_1d(0.25, EXP, cheb_points(2, 1.0))
@@ -293,6 +305,9 @@ def test_solve_validation(grid32):
     for amplitude in (np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
             solve_1d(0.25, EXP, grid32, guess="onepoint", amplitude=amplitude)
+    for amplitude in (np.nan, 0.0, -1.0):
+        with pytest.raises(InvalidArgumentError):
+            solve_1d(0.25, EXP, grid32, guess="eigenfunction", amplitude=amplitude)
 
 
 def test_branch_dichotomy_sweep():

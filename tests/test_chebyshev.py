@@ -1,5 +1,8 @@
 """Grid, differentiation-matrix, transform and resampling tests."""
 
+import warnings
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -54,14 +57,14 @@ def test_points_validation():
 
 
 def test_diff_matrix_linear_grid():
-    D = diff_matrix(cheb_points(1, 1.0)).entries
+    D = diff_matrix(cheb_points(1, 1.0))
     assert np.allclose(D, [[0.5, -0.5], [0.5, -0.5]], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 5, 12, 32])
 def test_diff_matrix_monomials(n):
     grid = cheb_points(n, 1.0)
-    D = diff_matrix(grid).entries
+    D = diff_matrix(grid)
     x = grid.points
     assert np.max(np.abs(D @ x - 1.0)) < 1e-12
     assert np.max(np.abs(D @ x**2 - 2.0 * x)) < 1e-11
@@ -69,27 +72,27 @@ def test_diff_matrix_monomials(n):
 
 def test_diff_matrix_row_sums():
     for n in (4, 16, 48):
-        D = diff_matrix(cheb_points(n, 1.5)).entries
+        D = diff_matrix(cheb_points(n, 1.5))
         assert np.max(np.abs(D.sum(axis=1))) < 1e-12
 
 
 def test_diff_matrix_parity():
     for n in (5, 8, 16):
         grid = cheb_points(n, 1.0)
-        D = diff_matrix(grid).entries
-        D2 = second_diff_matrix(grid).entries
+        D = diff_matrix(grid)
+        D2 = second_diff_matrix(grid)
         assert np.max(np.abs(D + D[::-1, ::-1])) < 1e-12 * np.max(np.abs(D))
         assert np.max(np.abs(D2 - D2[::-1, ::-1])) < 1e-12 * np.max(np.abs(D2))
 
 
 def test_diff_matrix_scaling_exact():
     for n in (4, 9, 16):
-        ref1 = diff_matrix(cheb_points(n, 1.0)).entries
-        ref2 = second_diff_matrix(cheb_points(n, 1.0)).entries
+        ref1 = diff_matrix(cheb_points(n, 1.0))
+        ref2 = second_diff_matrix(cheb_points(n, 1.0))
         for L in (0.5, 2.0, 2.5, np.pi / 2):
-            assert np.array_equal(diff_matrix(cheb_points(n, L)).entries, ref1 / L)
+            assert np.array_equal(diff_matrix(cheb_points(n, L)), ref1 / L)
             assert np.array_equal(
-                second_diff_matrix(cheb_points(n, L)).entries, ref2 / L**2
+                second_diff_matrix(cheb_points(n, L)), ref2 / L**2
             )
 
 
@@ -97,20 +100,28 @@ def test_second_diff_matrix_basics():
     grid = cheb_points(8, 1.0)
     d2 = second_diff_matrix(grid)
     x = grid.points
-    assert np.max(np.abs(d2.entries @ x**2 - 2.0)) < 1e-11
-    assert np.max(np.abs(d2.entries @ np.ones(9))) < 1e-12
-    assert d2.interior.shape == (7, 7)
+    assert np.max(np.abs(d2 @ x**2 - 2.0)) < 1e-11
+    assert np.max(np.abs(d2 @ np.ones(9))) < 1e-12
+    # both matrices are plain read-only arrays of the full grid
+    for d in (d2, diff_matrix(grid)):
+        assert type(d) is np.ndarray and d.shape == (9, 9) and not d.flags.writeable
 
 
 def test_second_diff_interior_n2():
     d2 = second_diff_matrix(cheb_points(2, 1.0))
     # u = 1 - x^2 has interior value 1 and u'' = -2, so the 1x1 block is [-2]
-    assert np.allclose(d2.interior, [[-2.0]], atol=1e-13)
+    assert np.allclose(d2[1:-1, 1:-1], [[-2.0]], atol=1e-13)
 
 
 def test_second_diff_order_validation():
     with pytest.raises(InvalidArgumentError):
         second_diff_matrix(cheb_points(1, 1.0))
+    # 1 / L**2 is finite, but times the reference entries of order n**4 it
+    # is not: the half-width is named, and numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="half-width"):
+            second_diff_matrix(cheb_points(32, 1e-153))
 
 
 def test_polynomial_exactness_property():
@@ -127,10 +138,10 @@ def test_polynomial_exactness_property():
         ddp = np.polyval(np.polyder(coeff, 2), s) / L**2
         D = diff_matrix(grid)
         D2 = second_diff_matrix(grid)
-        tol1 = 1e-10 * (1.0 + np.max(np.abs(D.entries)))
-        tol2 = 1e-10 * (1.0 + np.max(np.abs(D2.entries)))
-        assert np.max(np.abs(D.entries @ p - dp)) < tol1
-        assert np.max(np.abs(D2.entries @ p - ddp)) < tol2
+        tol1 = 1e-10 * (1.0 + np.max(np.abs(D)))
+        tol2 = 1e-10 * (1.0 + np.max(np.abs(D2)))
+        assert np.max(np.abs(D @ p - dp)) < tol1
+        assert np.max(np.abs(D2 @ p - ddp)) < tol2
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +304,26 @@ def test_resample_target_validation():
         barycentric_resample(grid, np.zeros(7), [1.5])
     with pytest.raises(InvalidArgumentError):
         barycentric_resample(grid, np.zeros(6), [0.0])
-    # one target array per axis of the samples, and at most two axes
+    # one target array per axis of the samples, for any number of axes
     with pytest.raises(InvalidArgumentError):
         barycentric_resample(grid, np.zeros(7), [0.0], [0.0])
     with pytest.raises(InvalidArgumentError):
         barycentric_resample(grid, np.zeros((7, 7)), [0.0])
     with pytest.raises(InvalidArgumentError):
-        barycentric_resample(grid, np.zeros((7, 7, 7)), [0.0], [0.0], [0.0])
+        barycentric_resample(grid, np.zeros((7, 7, 7)), [0.0], [0.0])
+    assert barycentric_resample(grid, np.ones((7, 7, 7)), [0.0], [0.5], [1.0]).shape == (1, 1, 1)
 
 
 def test_resample_2d_tensor_polynomial():
+    """A product polynomial resampled over 1, 2 and 3 axes, with a different
+    target count per axis."""
     grid = cheb_points(7, 1.0)
     x = grid.points
-    values = np.outer(x**3, 1.0 - x**2)
-    tx = np.linspace(-1.0, 1.0, 9)
-    ty = np.linspace(-1.0, 1.0, 11)
-    out = barycentric_resample(grid, values, tx, ty)
-    expect = np.outer(tx**3, 1.0 - ty**2)
-    assert np.max(np.abs(out - expect)) < 1e-12
+    factors = [lambda t: t**3, lambda t: 1.0 - t**2, lambda t: t**7 - t]
+    targets = [np.linspace(-1.0, 1.0, k) for k in (9, 11, 4)]
+    for ndim in (1, 2, 3):
+        values = reduce(np.multiply.outer, [f(x) for f in factors[:ndim]])
+        out = barycentric_resample(grid, values, *targets[:ndim])
+        expect = reduce(np.multiply.outer, [f(t) for f, t in zip(factors, targets[:ndim])])
+        assert out.shape == expect.shape
+        assert np.max(np.abs(out - expect)) < 1e-12

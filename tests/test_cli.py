@@ -128,14 +128,14 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
     assert run(["bifurcation-1d", "--samples", "1"]) == 2
     assert run(["solve-1d", "--lambda", "0.25",
                 "--output", str(tmp_path / "no" / "dir.json")]) == 2
-    # guesses: the eigenfunction is 2D only, names are checked, an
-    # amplitude must be finite (the eigenfunction's also positive) and a
-    # file must match the grid
+    # guesses: names are checked, an amplitude must be finite (the
+    # eigenfunction's also positive, in either dimension) and a file must
+    # match the grid
     bad_1d = tmp_path / "bad1.txt"
     np.savetxt(bad_1d, np.zeros(10))
     bad_2d = tmp_path / "bad2.txt"
     np.savetxt(bad_2d, np.zeros((16, 16)))
-    for argv in (["solve-1d", "--guess", "eigenfunction"],
+    for argv in (["solve-1d", "--guess", "eigenfunction", "--amplitude", "0"],
                  ["solve-1d", "--guess", f"file:{bad_1d}"],
                  ["solve-2d", "--guess", "mystery"],
                  ["solve-2d", "--guess", "eigenfunction", "--amplitude", "0"],
@@ -170,21 +170,29 @@ def test_lambda_and_grid_order_are_checked_alike_in_both_dimensions(tmp_path, ca
                                   ["eig-2d"],
                                   ["bifurcation-1d"]],
                          ids=["solve-1d", "solve-2d", "coeffs-1d", "eig-2d", "bifurcation-1d"])
-@pytest.mark.parametrize("half_width", ["1e200", "1e-200"])
+@pytest.mark.parametrize("half_width", ["1e200", "1e-200", "1e-160"])
 def test_half_width_whose_square_is_not_a_float_exits_2(argv, half_width, capsys):
-    # L**2 overflows (or underflows to 0): an invalid argument, not a crash
-    assert run([*argv, "--L", half_width]) == 2
+    # L**2 overflows, underflows to 0 or is subnormal, so that 1 / L**2 and
+    # D2 overflow: an invalid argument, not a crash and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--L", half_width]) == 2
     assert "half-width" in capsys.readouterr().err
 
 
-def test_coeffs_1d_solves_the_requested_nonlinearity(tmp_path):
-    # the 1D solve takes every reaction term, as the 2D one does; the
-    # --epsilon a non-gelfand term does not use is recorded and ignored
+def test_coeffs_1d_solves_the_requested_nonlinearity(tmp_path, capsys):
+    # the 1D solve takes every reaction term, as the 2D one does; --epsilon
+    # is rejected with every term but gelfand, the one that uses it
     exp = _run_json(["coeffs", "1d", "--lambda", "0.25"], tmp_path)
-    doc = _run_json(["coeffs", "1d", "--lambda", "0.25", "--nonlinearity", "cosh",
-                     "--epsilon", "0.3"], tmp_path, "cosh.json")
+    doc = _run_json(["coeffs", "1d", "--lambda", "0.25", "--nonlinearity", "cosh"],
+                    tmp_path, "cosh.json")
+    for command in (["coeffs", "1d"], ["solve-1d"], ["solve-2d"]):
+        for nl in ("exp", "cosh", "sinh"):
+            assert run([*command, "--lambda", "0.25", "--nonlinearity", nl,
+                        "--epsilon", "0.3"]) == 2
+            assert "epsilon" in capsys.readouterr().err
     assert doc["params"]["nonlinearity"] == "cosh"
-    assert doc["params"]["epsilon"] == 0.3
+    assert doc["params"]["epsilon"] is None
     assert doc["newton"]["converged"] is True
     assert doc["decay"]["odd_floor"] <= 1e-12
     assert len(doc["coefficients"]) == 33

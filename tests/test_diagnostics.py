@@ -22,8 +22,7 @@ def _report_2d(grid, interior):
 
 
 def _eigenfunction(grid, amplitude):
-    ground = laplacian(grid, 2).fd.vectors[:, 0]
-    return initial_guess(grid, 2, "eigenfunction", amplitude, ground)
+    return initial_guess(grid, laplacian(grid, 2), "eigenfunction", amplitude)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +83,7 @@ def test_2d_solution_rate_shallower_than_eigenfunction(grid16, solutions_2d):
 
 
 def test_2d_biquadratic_coefficients(grid16):
-    rep = _report_2d(grid16, initial_guess(grid16, 2, "onepoint", 1.0))
+    rep = _report_2d(grid16, initial_guess(grid16, laplacian(grid16, 2), "onepoint", 1.0))
     mags = rep.coeffs
     mask = np.zeros_like(mags, dtype=bool)
     mask[3:, :] = True
@@ -99,7 +98,7 @@ def test_zero_field_report(grid16):
 
 
 def test_symmetry_report_examples(grid16):
-    guess = initial_guess(grid16, 2, "onepoint", 6.0)
+    guess = initial_guess(grid16, laplacian(grid16, 2), "onepoint", 6.0)
     rep = symmetry_report(guess)
     assert rep.rot90_dev == 0.0
     assert rep.transpose_dev == 0.0

@@ -1,5 +1,8 @@
 """Newton-Kantorovich driver tests, including the shipped-Jacobian checks."""
 
+import warnings
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from chebratu import (
     cheb_points,
     convergence_order_estimate,
     initial_guess,
+    laplacian,
     make_nonlinearity,
     newton_kantorovich,
     second_diff_matrix,
@@ -148,6 +152,11 @@ def test_order_estimate_insufficient_data():
     assert convergence_order_estimate(t) is None
     assert NewtonTrace().iterations == 0
     assert convergence_order_estimate(NewtonTrace()) is None
+    # equal norms make the quotient 0/0 or x/0: None, with no numpy warning
+    for norms in ([1.0, 1.0, 1.0], [1.0, 1.0, 0.5]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert convergence_order_estimate(NewtonTrace(update_norms=norms)) is None
 
 
 def test_shipped_jacobians_match_finite_differences():
@@ -164,7 +173,7 @@ def test_shipped_jacobians_match_finite_differences():
 
     # 1D collocation system
     grid = cheb_points(16, 1.0)
-    d2 = second_diff_matrix(grid).interior
+    d2 = second_diff_matrix(grid)[1:-1, 1:-1]
     for _ in range(25):
         lam = float(rng.uniform(0.05, 0.8))
         u = rng.uniform(-1.0, 2.0, 15)
@@ -173,7 +182,7 @@ def test_shipped_jacobians_match_finite_differences():
 
     # 2D collocation systems for every shipped nonlinearity
     grid2 = cheb_points(8, 1.0)
-    d2b = second_diff_matrix(grid2).interior
+    d2b = second_diff_matrix(grid2)[1:-1, 1:-1]
     eye = np.eye(7)
     lap = np.kron(eye, d2b) + np.kron(d2b, eye)
     for name, eps in (("exp", None), ("gelfand", 1e-2), ("cosh", None), ("sinh", None)):
@@ -191,27 +200,28 @@ def test_shipped_jacobians_match_finite_differences():
 
 
 def _tensor(factor, ndim):
-    return factor if ndim == 1 else np.outer(factor, factor)
+    return reduce(np.multiply.outer, [factor] * ndim)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_initial_guess_names_and_arrays(ndim):
     grid = cheb_points(12, 2.0)
+    op = laplacian(grid, ndim)
     interior = (slice(1, -1),) * ndim
-    zero = initial_guess(grid, ndim, "zero")
+    zero = initial_guess(grid, op, "zero")
     assert zero.shape == (11,) * ndim
     assert not zero.any()
 
     factor = 1.0 - (grid.points[1:-1] / 2.0) ** 2
-    assert np.array_equal(initial_guess(grid, ndim, "onepoint", 3.0), 3.0 * _tensor(factor, ndim))
-    assert np.array_equal(initial_guess(grid, ndim, "onepoint"), 6.0 * _tensor(factor, ndim))
-    assert np.array_equal(initial_guess(grid, ndim, "onepoint", -1.0), -_tensor(factor, ndim))
-    assert not initial_guess(grid, ndim, "onepoint", 0.0).any()
+    assert np.array_equal(initial_guess(grid, op, "onepoint", 3.0), 3.0 * _tensor(factor, ndim))
+    assert np.array_equal(initial_guess(grid, op, "onepoint"), 6.0 * _tensor(factor, ndim))
+    assert np.array_equal(initial_guess(grid, op, "onepoint", -1.0), -_tensor(factor, ndim))
+    assert not initial_guess(grid, op, "onepoint", 0.0).any()
 
     full = np.random.default_rng(7).uniform(-1.0, 1.0, (13,) * ndim)
-    from_full = initial_guess(grid, ndim, full)
+    from_full = initial_guess(grid, op, full)
     assert np.array_equal(from_full, full[interior])
-    from_interior = initial_guess(grid, ndim, full[interior])
+    from_interior = initial_guess(grid, op, full[interior])
     assert np.array_equal(from_interior, full[interior])
     from_full[...] = 0.0
     from_interior[...] = 0.0
@@ -219,40 +229,44 @@ def test_initial_guess_names_and_arrays(ndim):
 
 
 def test_initial_guess_eigenfunction_scales_the_ground_state():
+    """The outer product of the operator's ground state over its axes, in
+    any number of axes, with its maximum set to the amplitude."""
     grid = cheb_points(13, 1.0)
-    ground = np.cos(np.pi * grid.points[1:-1] / 2.0)
-    guess = initial_guess(grid, 2, "eigenfunction", 0.3, ground)
-    assert guess.max() == 0.3
-    assert np.max(np.abs(guess - 0.3 * np.outer(ground, ground) / ground.max() ** 2)) < 1e-15
-    assert np.array_equal(initial_guess(grid, 2, "eigenfunction", None, ground),
-                          initial_guess(grid, 2, "eigenfunction", 0.1, ground))
+    for ndim in (1, 2, 3):
+        op = laplacian(grid, ndim)
+        ground = op.fd.vectors[:, 0].copy()
+        guess = initial_guess(grid, op, "eigenfunction", 0.3)
+        assert guess.shape == (12,) * ndim and guess.max() == 0.3
+        expect = 0.3 * _tensor(ground, ndim) / ground.max() ** ndim
+        assert np.max(np.abs(guess - expect)) < 1e-15
+        assert np.array_equal(initial_guess(grid, op, "eigenfunction", None),
+                              initial_guess(grid, op, "eigenfunction", 0.1))
+        # scaling leaves the operator's cached eigenvectors as they were
+        assert np.array_equal(op.fd.vectors[:, 0], ground)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_initial_guess_rejects(ndim):
     grid = cheb_points(12, 1.0)
-    ground = np.cos(np.pi * grid.points[1:-1] / 2.0)
+    op = laplacian(grid, ndim)
     bad = [np.zeros(5), np.zeros((13,) * (3 - ndim)), np.zeros((11,) * (ndim + 1)), "mystery"]
-    bad += [np.zeros((11, 13))] if ndim == 2 else ["eigenfunction"]
+    bad += [np.zeros((11, 13))] if ndim == 2 else []
     for guess in bad:
         with pytest.raises(InvalidArgumentError):
-            initial_guess(grid, ndim, guess, None, ground)
+            initial_guess(grid, op, guess)
     for amplitude in (np.nan, np.inf, -np.inf):
-        with pytest.raises(InvalidArgumentError, match="finite"):
-            initial_guess(grid, ndim, "onepoint", amplitude)
-    if ndim == 2:
-        for amplitude in (np.nan, np.inf, -np.inf):
+        for guess in ("onepoint", "eigenfunction"):
             with pytest.raises(InvalidArgumentError, match="finite"):
-                initial_guess(grid, 2, "eigenfunction", amplitude, ground)
-        for amplitude in (0.0, -1.0):
-            with pytest.raises(InvalidArgumentError, match="positive"):
-                initial_guess(grid, 2, "eigenfunction", amplitude, ground)
+                initial_guess(grid, op, guess, amplitude)
+    for amplitude in (0.0, -1.0):
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            initial_guess(grid, op, "eigenfunction", amplitude)
 
 
 @pytest.mark.parametrize("n", [12, 13])
-@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_solution_views(n, ndim):
-    """``interior``, ``u_max`` and ``center_value`` in either dimension; the
+    """``interior``, ``u_max`` and ``center_value`` in any dimension; the
     center is a node for even n and interpolated for odd n."""
     grid = cheb_points(n, 2.0)
     values = 3.0 * _tensor(1.0 - (grid.points / 2.0) ** 2, ndim)

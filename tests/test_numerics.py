@@ -127,7 +127,7 @@ def test_eig_vector_normalization():
 
 @pytest.mark.parametrize("n", [7, 16, 48])
 def test_eig_of_chebyshev_d2_is_real_and_normalized(n):
-    d2 = second_diff_matrix(cheb_points(n)).interior
+    d2 = second_diff_matrix(cheb_points(n))[1:-1, 1:-1]
     res = eig_general(d2)
     assert res.values.dtype == np.float64
     assert res.vectors.dtype == np.float64

@@ -9,6 +9,7 @@ import chebratu.newton
 from chebratu import (
     barycentric_resample,
     cheb_points,
+    decay_report,
     initial_guess,
     laplacian,
     laplacian_eigs,
@@ -22,7 +23,7 @@ from chebratu.errors import (
     SingularNonlinearityError,
 )
 from chebratu.numerics import _GMRES_MAXITER
-from oracles import collocation_newton_2d, fd_center_richardson, kron_laplacian
+from oracles import cheb, collocation_newton_2d, fd_center_richardson, kron_laplacian
 
 # collocation values for lam = 0.5 on [-1,1]^2; the small-branch centre is
 # also checked against Richardson-extrapolated finite differences computed
@@ -201,8 +202,7 @@ def test_eig_count_validation(grid16):
 
 
 def _eigenfunction_guess(grid, amplitude):
-    ground = laplacian(grid, 2).fd.vectors[:, 0]
-    return initial_guess(grid, 2, "eigenfunction", amplitude, ground)
+    return initial_guess(grid, laplacian(grid, 2), "eigenfunction", amplitude)
 
 
 def test_eigenfunction_guess_positive_and_scaled(grid16):
@@ -211,8 +211,7 @@ def test_eigenfunction_guess_positive_and_scaled(grid16):
     assert np.all(f > 0.0)
     assert f.max() == 0.1
     # the default amplitude is the CLI's 0.1
-    ground = laplacian(grid16, 2).fd.vectors[:, 0]
-    assert np.array_equal(initial_guess(grid16, 2, "eigenfunction", None, ground), f)
+    assert np.array_equal(initial_guess(grid16, laplacian(grid16, 2), "eigenfunction"), f)
 
 
 def test_eigenfunction_guess_shape():
@@ -233,12 +232,12 @@ def test_eigenfunction_guess_validation(grid16):
 
 
 def test_onepoint_guess(grid16):
-    f = initial_guess(grid16, 2, "onepoint", 6.0)
+    f = initial_guess(grid16, laplacian(grid16, 2), "onepoint", 6.0)
     # n is even, so the center point is on the grid
     assert f[7, 7] == 6.0
     assert np.max(np.abs(f - np.rot90(f))) == 0.0
     # the default amplitude is the CLI's 6
-    assert np.array_equal(initial_guess(grid16, 2, "onepoint"), f)
+    assert np.array_equal(initial_guess(grid16, laplacian(grid16, 2), "onepoint"), f)
     for amplitude in (np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
             solve(0.5, make_nonlinearity("exp"), grid16, 2, "onepoint", amplitude)
@@ -260,7 +259,8 @@ def eig_calls(monkeypatch):
 
 @pytest.mark.parametrize("guess", ["zero", "onepoint"])
 def test_1d_solve_never_factors_d2(exp_nl, eig_calls, guess):
-    """LU solves need no fast diagonalization, so a 1D solve computes none."""
+    """LU solves need no fast diagonalization, so a 1D solve from any guess
+    but the eigenfunction computes none."""
     sol = solve(0.25, exp_nl, cheb_points(32, 1.0), 1, guess)
     assert sol.trace.converged and sol.trace.linear_iterations == [1] * sol.trace.iterations
     assert eig_calls == []
@@ -269,12 +269,16 @@ def test_1d_solve_never_factors_d2(exp_nl, eig_calls, guess):
 def test_eigenfunction_guess_solve_factors_d2_once(grid16, exp_nl, eig_calls):
     """The eigenfunction guess takes its ground state from the solve's own
     fast diagonalization, which every GMRES step reuses: one eig of D2
-    per 2D solve, whatever the guess."""
+    per 2D solve, whatever the guess, and per 1D eigenfunction solve."""
     for guess, amplitude in (("eigenfunction", 0.1), ("onepoint", 1.0), ("zero", None)):
         eig_calls.clear()
         sol = solve(0.5, exp_nl, grid16, 2, guess, amplitude)
         assert eig_calls == [(15, 15)], guess
         assert abs(sol.u_max - UMAX_SMALL_N16) < 1e-9
+    eig_calls.clear()
+    sol = solve(0.25, exp_nl, cheb_points(32, 1.0), 1, "eigenfunction")
+    assert sol.trace.converged and sol.trace.linear_iterations == [1] * sol.trace.iterations
+    assert eig_calls == [(31, 31)]
 
 
 def test_laplacian_eigs_factors_d2_once(grid16, eig_calls):
@@ -385,6 +389,39 @@ def test_solve_above_fold_fails(grid16, exp_nl):
     assert info.value.trace is not None
 
 
+def _residual_3d(sol):
+    """Sup-norm of ``Lap u + lam e^u`` on the interior of a 3D solution, the
+    oracle's ``D2`` applied along each axis: the product of
+    ``kron_laplacian(n, L, 3)`` with the interior vector, without its
+    ``(n - 1)^6`` entries (1.2 GB at n = 24)."""
+    d, _ = cheb(sol.grid.n)
+    d2 = (d @ d)[1:-1, 1:-1] / sol.grid.half_width**2
+    u = sol.interior
+    lap = (np.einsum("ai,ijk->ajk", d2, u) + np.einsum("bj,ijk->ibk", d2, u)
+           + np.einsum("ck,ijk->ijc", d2, u))
+    return np.max(np.abs(lap + sol.lam * np.exp(u)))
+
+
+def test_3d_small_branch_through_the_library(exp_nl):
+    """The 3D problem needs no 3D-specific code: the eigenfunction guess,
+    the centre value and the decay report all take three axes."""
+    u_max = {}
+    for n in (12, 16, 24):
+        grid = cheb_points(n, 1.0)
+        sol = solve(1.0, exp_nl, grid, 3, "eigenfunction")
+        assert sol.values.shape == (n + 1,) * 3
+        assert sol.trace.converged and sol.trace.iterations <= 4, n
+        assert sol.center_value() == sol.u_max
+        residual = _residual_3d(sol)
+        if n == 12:  # the dense oracle matrix itself, where it takes 14 MB
+            vec = sol.interior.reshape(-1)
+            residual = max(residual, np.max(np.abs(kron_laplacian(n, 1.0, 3) @ vec + np.exp(vec))))
+        assert residual <= 1e-11, n
+        assert decay_report(grid, sol.values.T).odd_floor <= 1e-14, n
+        u_max[n] = sol.u_max
+    assert abs(u_max[16] - u_max[24]) <= 1e-9
+
+
 def test_solve_validation(grid16, exp_nl):
     with pytest.raises(InvalidArgumentError):
         solve(-0.1, exp_nl, grid16, 2, "eigenfunction", 0.1)
@@ -470,6 +507,10 @@ def test_gelfand_validation_and_pole():
     for eps in (None, 0.0, 1.0, -0.5):
         with pytest.raises(InvalidArgumentError):
             make_nonlinearity("gelfand", eps)
+    # only gelfand takes an epsilon
+    for name in ("exp", "cosh", "sinh"):
+        with pytest.raises(InvalidArgumentError, match="epsilon"):
+            make_nonlinearity(name, 0.5)
     nl = make_nonlinearity("gelfand", 0.5)
     with pytest.raises(SingularNonlinearityError):
         nl.value(1.0, -3.0)
