@@ -268,14 +268,24 @@ def _along(a, u, axis: int, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FastDiagonalization:
-    """``D2 = vectors diag(w) inverse``, with ``w`` descending (the ground
-    state first) and the columns of ``vectors`` of unit sup-norm; ``sums``
-    holds ``w[i] + w[j] + ...`` over every index tuple of the
-    ``ndim``-axis grid, flattened x-fastest (``w`` itself in 1D)."""
+    """``D2 = vectors diag(values) inverse``, with ``values`` descending
+    (the ground state first) and the columns of ``vectors`` of unit
+    sup-norm; ``sums`` holds ``values[i] + values[j] + ...`` over every
+    index tuple of the ``ndim``-axis grid, flattened x-fastest.  Only the
+    preconditioner reads ``inverse`` and ``sums``, so each is computed on
+    first use and the eigenfunction guess never inverts ``vectors``."""
 
     vectors: np.ndarray
-    inverse: np.ndarray
-    sums: np.ndarray
+    values: np.ndarray
+    ndim: int
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.vectors)
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        return reduce(np.add.outer, [self.values] * self.ndim).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -314,9 +324,8 @@ class Laplacian:
             Chebyshev collocation).
         """
         eig = eig_general(self.d2)
-        values, vectors = eig.values[::-1], eig.vectors[:, ::-1]
-        return FastDiagonalization(vectors=vectors, inverse=np.linalg.inv(vectors),
-                                   sums=reduce(np.add.outer, [values] * self.ndim).reshape(-1))
+        return FastDiagonalization(vectors=eig.vectors[:, ::-1], values=eig.values[::-1],
+                                   ndim=self.ndim)
 
     def apply(self, u) -> np.ndarray:
         """``Lap u``, ``D2`` along each axis, summed."""
@@ -467,6 +476,10 @@ def solve(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, ndim: int, guess
     operator = laplacian(grid, ndim)
     u0 = initial_guess(grid, operator, guess, amplitude)
 
+    # Lap u of a huge iterate overflows to inf or nan without a warning, as
+    # the reaction term does; the Newton finiteness checks report it (GMRES
+    # evaluates Lap under the same state)
+    @np.errstate(over="ignore", invalid="ignore")
     def residual(u):
         return operator.apply(u) + nonlinearity.value(lam, u)
 

@@ -1,8 +1,9 @@
 """Linear-algebra kernels: LU and GMRES solves, real eigendecompositions.
 
-Thin, contract-enforcing wrappers over LAPACK (via numpy/scipy): partial
-pivoting with an explicit near-singularity check for the dense Newton
-inner solves, a preconditioned GMRES for the matrix-free ones, and a
+Thin, contract-enforcing wrappers over LAPACK: partial pivoting with an
+explicit near-singularity check for the dense Newton inner solves (SciPy's
+LU, imported on the first call, so a process that never calls it never
+loads SciPy), a preconditioned GMRES for the matrix-free ones, and a
 deterministically sorted and normalized eigendecomposition for the
 stability verdicts and the fast diagonalization of the 2D Laplacian.
 Both of those spectra are real (the Dirichlet Chebyshev ``D2`` has real,
@@ -16,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgumentError, NumericalFailureError, SingularMatrixError
 
@@ -83,6 +83,8 @@ def lu_solve(a, b) -> np.ndarray:
         )
     if not np.all(np.isfinite(rhs)):
         raise InvalidArgumentError("right-hand side entries must be finite")
+    import scipy.linalg
+
     norm = np.max(np.sum(np.abs(A), axis=1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -92,6 +94,16 @@ def lu_solve(a, b) -> np.ndarray:
             f"matrix is singular to working precision (pivot <= {_PIVOT_RTOL} * ||A||)"
         )
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+
+
+def _back_substitute(r, g) -> np.ndarray:
+    """Solve ``R y = g`` for upper-triangular ``R`` with nonzero diagonal,
+    row by row from the last; the tests check it against
+    ``scipy.linalg.solve_triangular`` bit for bit."""
+    y = np.empty(len(g))
+    for i in range(len(g) - 1, -1, -1):
+        y[i] = (g[i] - r[i, i + 1:] @ y[i + 1:]) / r[i, i]
+    return y
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -156,7 +168,7 @@ def gmres(apply, b, precondition):
             if abs(g[j + 1]) <= _GMRES_RTOL * bnorm:
                 break
             q[j + 1] = w / h[j + 1, j]
-        y = scipy.linalg.solve_triangular(h[:j + 1, :j + 1], g[:j + 1], check_finite=False)
+        y = _back_substitute(h[:j + 1, :j + 1], g[:j + 1])
         x = x + precondition(y @ q[:j + 1])
         r = b - apply(x)
         if (abs(g[j + 1]) <= _GMRES_RTOL * bnorm

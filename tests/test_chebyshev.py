@@ -208,6 +208,42 @@ def test_transform_round_trip_property():
         assert np.max(np.abs(back - direct)) < 1e-13 * np.max(np.abs(v))
 
 
+def _dct1_scipy_transforms(values):
+    """The coefficient transform and its inverse as computed with
+    ``scipy.fft.dct(type=1)`` along each axis."""
+    from scipy import fft
+
+    a = values
+    for axis in range(values.ndim):
+        n = a.shape[axis] - 1
+        a = fft.dct(a, type=1, axis=axis) / n
+        sl = [slice(None)] * a.ndim
+        for end in (0, n):
+            sl[axis] = end
+            a[tuple(sl)] /= 2.0
+    v = values
+    for axis in range(values.ndim):
+        w = np.array(v, dtype=float, copy=True)
+        sl = [slice(None)] * w.ndim
+        sl[axis] = slice(1, -1)
+        w[tuple(sl)] /= 2.0
+        v = fft.dct(w, type=1, axis=axis)
+    return a, v
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_transforms_match_scipy_dct_bit_for_bit(ndim):
+    # the DCT-I is numpy's real FFT of the even extension; numpy 2 vendors
+    # the pocketfft that scipy.fft uses, so the bytes are SciPy's
+    rng = np.random.default_rng(29 + ndim)
+    for n in range(1, 65):
+        grid = cheb_points(n, 1.0)
+        v = rng.uniform(-1.0, 1.0, (n + 1,) * ndim)
+        forward, inverse = _dct1_scipy_transforms(v)
+        assert np.array_equal(cheb_transform(grid, v), forward), n
+        assert np.array_equal(inverse_cheb_transform(grid, v), inverse), n
+
+
 def test_transform_validation():
     grid = cheb_points(8, 1.0)
     with pytest.raises(InvalidArgumentError):

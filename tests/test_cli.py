@@ -316,14 +316,45 @@ def test_custom_tolerances(tmp_path):
     assert doc["newton"]["iterations"] <= 3
 
 
-def test_cli_import_loads_no_sparse_or_optimize_scipy():
-    # scipy.sparse.linalg and scipy.optimize cost tens of milliseconds and
-    # megabytes at start-up, and every CLI request pays for its imports
+def test_cli_import_loads_no_sparse_or_optimize_scipy(tmp_path):
+    # SciPy costs most of a request's start-up time and memory, and every
+    # CLI request pays for its imports: importing the CLI and serving every
+    # request that solves no 1D problem loads none of it, and the 1D LU
+    # step loads scipy.linalg only
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, chebratu.cli; "
-            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.optimize') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = str(tmp_path / "out")
+    code = f"""
+import sys
+from chebratu.cli import run
+for argv in (["eig-2d", "--n", "8"],
+             ["solve-2d", "--lambda", "0.5", "--n", "8", "--guess", "eigenfunction"],
+             ["coeffs", "2d", "--lambda", "0.5", "--n", "8"],
+             ["symmetry", "--lambda", "0.5", "--n", "8"],
+             ["bifurcation-1d", "--samples", "20"],
+             ["bifurcation-2d-approx", "--samples", "20"]):
+    assert run(argv + ["--output", {out!r}]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+assert run(["solve-1d", "--lambda", "0.5", "--output", {out!r}]) == 0
+print("scipy.linalg" in sys.modules, "scipy.fft" in sys.modules)
+"""
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert res.stdout.splitlines() == ["[]", "True False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-1d", "--guess", "onepoint"],
+    ["solve-2d", "--guess", "onepoint"],
+    ["solve-1d", "--guess", "eigenfunction"],
+    ["solve-2d", "--guess", "eigenfunction"],
+], ids=["solve-1d-onepoint", "solve-2d-onepoint", "solve-1d-eigenfunction",
+        "solve-2d-eigenfunction"])
+def test_huge_guess_amplitude_exits_3_without_warnings(argv, tmp_path, capsys):
+    # Lap u overflows at the guess; the Newton finiteness checks report it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*argv, "--lambda", "0.5", "--amplitude", "1e308",
+                    "--output", str(tmp_path / "out.json")])
+    assert code == 3
+    assert capsys.readouterr().err == ""

@@ -5,7 +5,7 @@ import pytest
 
 from chebratu import cheb_points, eig_general, gmres, lu_solve, second_diff_matrix
 from chebratu.errors import InvalidArgumentError, NumericalFailureError, SingularMatrixError
-from chebratu.numerics import _GMRES_MAXITER, _GMRES_RTOL
+from chebratu.numerics import _GMRES_MAXITER, _GMRES_RTOL, _back_substitute
 
 
 def _real_spectrum(rng, m):
@@ -94,6 +94,21 @@ def test_gmres_rank_deficient_raises():
             gmres(apply, rng.uniform(-1.0, 1.0, m), lambda v: v)
         # one product per Arnoldi step, one residual per restart cycle
         assert len(calls) <= 2 * _GMRES_MAXITER
+
+
+def test_gmres_back_substitution_matches_scipy_bit_for_bit():
+    # the least-squares step of each GMRES cycle gives SciPy's bytes, so
+    # 2D solves need no SciPy
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(23)
+    for m in range(1, 41):
+        for _ in range(20):
+            r = np.triu(rng.standard_normal((m, m)))
+            r[np.diag_indices(m)] = np.abs(np.diag(r)) + rng.uniform(1e-3, 1.0, m)
+            g = rng.standard_normal(m)
+            assert np.array_equal(_back_substitute(r, g),
+                                  solve_triangular(r, g, check_finite=False)), m
 
 
 def test_eig_diagonal():
