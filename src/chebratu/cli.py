@@ -28,9 +28,21 @@ import numpy as np
 from . import bratu1d, diagnostics, pde2d
 from .chebyshev import cheb_points
 from .errors import ChebratuError, InvalidArgumentError, NewtonError
-from .newton import NewtonConfig, convergence_order_estimate, make_nonlinearity, solve
+from .newton import NewtonConfig, convergence_order_estimate, laplacian, make_nonlinearity, solve
 
 __all__ = ["main", "run"]
+
+
+def _size(text: str) -> int:
+    """An integer argument that numpy can index an array of one more
+    entries by; a larger one is a parser error naming the argument."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value >= np.iinfo(np.intp).max:
+        raise argparse.ArgumentTypeError(f"{value} is too large")
+    return value
 
 
 def _add_common(p, *, guesses=None):
@@ -42,7 +54,7 @@ def _add_common(p, *, guesses=None):
                        help="bifurcation parameter")
         p.add_argument("--L", dest="half_width", type=float, default=1.0,
                        help="domain half-width (default 1)")
-        p.add_argument("--n", dest="n", type=int, default=None,
+        p.add_argument("--n", dest="n", type=_size, default=None,
                        help="grid order (default 32 in 1D, 16 in 2D)")
         p.add_argument("--guess", default=guesses[0],
                        help=f"initial guess: one of {guesses} or file:PATH")
@@ -74,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bifurcation-1d", help="closed-form 1D curve and fold")
     p.add_argument("--L", dest="half_width", type=float, default=1.0,
                    help="domain half-width (default 1)")
-    p.add_argument("--samples", type=int, default=400,
+    p.add_argument("--samples", type=_size, default=400,
                    help="number of curve points (default 400)")
     _add_common(p)
 
@@ -87,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eig-2d", help="eigenvalues of the 2D Dirichlet Laplacian")
     p.add_argument("--L", dest="half_width", type=float, default=1.0,
                    help="domain half-width (default 1)")
-    p.add_argument("--n", dest="n", type=int, default=16, help="grid order (default 16)")
-    p.add_argument("--samples", type=int, default=10,
+    p.add_argument("--n", dest="n", type=_size, default=16, help="grid order (default 16)")
+    p.add_argument("--samples", type=_size, default=10,
                    help="number of eigenvalues, smallest first (default 10)")
     _add_common(p)
 
@@ -97,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(dim="2d")
 
     p = sub.add_parser("bifurcation-2d-approx", help="one-point 2D diagram estimate")
-    p.add_argument("--samples", type=int, default=400,
+    p.add_argument("--samples", type=_size, default=400,
                    help="amplitude steps over [0, 8] (default 400)")
     _add_common(p)
 
@@ -248,7 +260,7 @@ def _cmd_stability_1d(args, sol, params):
 
 def _cmd_eig_2d(args):
     grid = cheb_points(args.n, args.half_width)
-    eigs, rows = _spectrum(pde2d.laplacian_eigs(grid, args.samples).values)
+    eigs, rows = _spectrum(laplacian(grid, 2).eigenpairs(args.samples).values)
     doc = {
         "params": {"L": args.half_width, "n": args.n, "count": args.samples},
         "eigenvalues": eigs,

@@ -32,7 +32,7 @@ from .errors import (
     SingularMatrixError,
     SingularNonlinearityError,
 )
-from .numerics import eig_general, gmres, lu_solve
+from .numerics import EigenResult, eig_general, gmres, lu_solve
 
 __all__ = [
     "Laplacian",
@@ -267,31 +267,9 @@ def _along(a, u, axis: int, ndim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FastDiagonalization:
-    """``D2 = vectors diag(values) inverse``, with ``values`` descending
-    (the ground state first) and the columns of ``vectors`` of unit
-    sup-norm; ``sums`` holds ``values[i] + values[j] + ...`` over every
-    index tuple of the ``ndim``-axis grid, flattened x-fastest.  Only the
-    preconditioner reads ``inverse`` and ``sums``, so each is computed on
-    first use and the eigenfunction guess never inverts ``vectors``."""
-
-    vectors: np.ndarray
-    values: np.ndarray
-    ndim: int
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.vectors)
-
-    @cached_property
-    def sums(self) -> np.ndarray:
-        return reduce(np.add.outer, [self.values] * self.ndim).reshape(-1)
-
-
-@dataclass(frozen=True)
 class Laplacian:
     """The Dirichlet Laplacian on the interior of an ``ndim``-axis tensor
-    grid, matrix-free.
+    grid, matrix-free, and the owner of its spectrum.
 
     ``d2`` is the ``M x M`` interior second-derivative block, ``M = n - 1``.
     Methods take and return interior vectors of length ``M**ndim``, the
@@ -300,21 +278,24 @@ class Laplacian:
     U D2^T``, never assembled as an ``M^2 x M^2`` matrix.
 
     Fast diagonalization (Lynch, Rice & Thomas, 1964; Haidvogel & Zang,
-    1979): one eigendecomposition ``D2 = V diag(w) V^-1`` gives the whole
-    Dirichlet spectrum, ``-(w_i + w_j + ...)`` with eigenvectors the outer
-    products of columns of ``V``, and solves ``(Lap + c I) U = R`` exactly
-    by applying ``V^-1`` along every axis, dividing by ``w_i + w_j + ...
-    + c`` and applying ``V`` along every axis.  It is computed on first
-    use (:attr:`fd`), so a 1D solve, which never needs it, never pays
-    for the eigendecomposition.
+    1979): one eigendecomposition ``-D2 = V diag(mu) V^-1`` gives the whole
+    Dirichlet spectrum of ``-Lap``, ``mu_i + mu_j + ...`` with eigenvectors
+    the outer products of columns of ``V`` (:meth:`eigenpairs`), and solves
+    ``(Lap + c I) U = R`` exactly by applying ``V^-1`` along every axis,
+    dividing by ``c - (mu_i + mu_j + ...)`` and applying ``V`` along every
+    axis.  Each part is computed on first use: a 1D solve factors ``D2``
+    only for the eigenfunction guess and never inverts ``V``, which only
+    the GMRES preconditioner reads.
     """
 
     d2: np.ndarray
     ndim: int
 
     @cached_property
-    def fd(self) -> FastDiagonalization:
-        """The fast diagonalization of ``d2``.
+    def _eig(self) -> EigenResult:
+        """``mu`` ascending (the ground state first), read off the
+        eigendecomposition of ``D2``; the columns of ``V`` have unit
+        sup-norm and a positive lead entry.
 
         Raises
         ------
@@ -324,8 +305,36 @@ class Laplacian:
             Chebyshev collocation).
         """
         eig = eig_general(self.d2)
-        return FastDiagonalization(vectors=eig.vectors[:, ::-1], values=eig.values[::-1],
-                                   ndim=self.ndim)
+        return EigenResult(values=-eig.values[::-1], vectors=eig.vectors[:, ::-1])
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        return np.linalg.inv(self._eig.vectors)
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """``mu_i + mu_j + ...`` over every index tuple, flattened x-fastest."""
+        return reduce(np.add.outer, [self._eig.values] * self.ndim).reshape(-1)
+
+    def _fields(self, index) -> np.ndarray:
+        """The eigenfields of the index tuples ``zip(*index)`` (slowest axis
+        first) as columns, or of the one tuple ``index`` of integers: each
+        the outer product of the columns of ``V`` it names, flattened
+        x-fastest."""
+        columns = [self._eig.vectors[:, i] for i in index]
+        return reduce(lambda a, b: (a[:, None] * b).reshape(-1, *b.shape[1:]), columns)
+
+    def eigenpairs(self, k: int) -> EigenResult:
+        """The ``k`` smallest eigenvalues of ``-Lap``, ascending (ties in
+        index order), with their fields, flattened x-fastest, as the
+        columns of ``vectors``.  A field is an outer product of ``D2``
+        eigenvectors, so it has unit sup-norm and a positive lead entry."""
+        m, ndim = len(self.d2), self.ndim
+        if not 1 <= k <= m**ndim:
+            raise InvalidArgumentError(f"eigenpair count must be in [1, {m**ndim}], got {k}")
+        order = np.argsort(self._spectrum, kind="stable")[:k]
+        return EigenResult(values=self._spectrum[order],
+                           vectors=self._fields(np.unravel_index(order, (m,) * ndim)))
 
     def apply(self, u) -> np.ndarray:
         """``Lap u``, ``D2`` along each axis, summed."""
@@ -342,12 +351,11 @@ class Laplacian:
 
     def shifted_inverse(self, c: float, r) -> np.ndarray:
         """``(Lap + c I)^-1 r`` by fast diagonalization."""
-        fd = self.fd
         for axis in range(self.ndim):
-            r = _along(fd.inverse, r, axis, self.ndim)
-        r = r / (fd.sums + c)
+            r = _along(self._inverse, r, axis, self.ndim)
+        r = r / (c - self._spectrum)
         for axis in range(self.ndim):
-            r = _along(fd.vectors, r, axis, self.ndim)
+            r = _along(self._eig.vectors, r, axis, self.ndim)
         return r
 
     def solve_shifted(self, d, b):
@@ -358,7 +366,8 @@ class Laplacian:
         """
         if self.ndim == 1:
             return lu_solve(self.shifted(d), b), 1
-        c = float(np.mean(d))
+        with np.errstate(over="ignore"):  # a mean that overflows is inf
+            c = float(np.mean(d))
         return gmres(lambda x: self.apply(x) + d * x, b,
                      lambda r: self.shifted_inverse(c, r))
 
@@ -416,9 +425,9 @@ def initial_guess(grid: Grid1D, operator: Laplacian, guess,
     * ``"onepoint"``, the lowest polynomial basis function, ``amplitude``
       times the product of ``1 - (x/L)**2`` over the axes (an outer product
       of the 1D factor, so it carries the domain's symmetries exactly);
-    * ``"eigenfunction"``, the ground state of ``operator``, the outer
-      product over its axes of the ground state ``v0`` of ``operator.fd``
-      (computed for this guess only), scaled so its maximum equals
+    * ``"eigenfunction"``, the ground state of ``operator``, the field of
+      the first of its :meth:`~Laplacian.eigenpairs` (built at the all-zero
+      index, with no sort of the spectrum), scaled so its maximum equals
       ``amplitude`` exactly.
 
     ``amplitude=None`` means 6 for ``onepoint`` and 0.1 for
@@ -450,7 +459,7 @@ def initial_guess(grid: Grid1D, operator: Laplacian, guess,
         amplitude = 0.1 if amplitude is None else amplitude
         if amplitude <= 0.0:
             raise InvalidArgumentError("guess amplitude must be positive")
-        field = reduce(np.multiply.outer, [operator.fd.vectors[:, 0]] * ndim)
+        field = operator._fields([0] * ndim).reshape(shape)
         return field * (amplitude / field.max())
     raise InvalidArgumentError(f"unknown {ndim}D guess {guess!r}")
 

@@ -125,15 +125,17 @@ def gmres(apply, b, precondition):
     SingularMatrixError
         If the solve has not ended within ``_GMRES_MAXITER`` iterations,
         if the Krylov space closes without containing the solution, or if
-        a product becomes non-finite.
+        ``||b||_2`` or a product becomes non-finite.
     InvalidArgumentError
         If ``b`` has non-finite entries.
     """
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise InvalidArgumentError("right-hand side entries must be finite")
     x = np.zeros_like(b)
     bnorm = np.linalg.norm(b)
     if not np.isfinite(bnorm):
-        raise InvalidArgumentError("right-hand side entries must be finite")
+        raise SingularMatrixError("GMRES cannot scale a right-hand side whose 2-norm overflows")
     r, done = b, 0
     while bnorm > 0.0:
         beta = np.linalg.norm(r)

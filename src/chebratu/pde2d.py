@@ -7,50 +7,24 @@ Laplacian of the interior field ``U[iy, ix]`` is ``D2 U + U D2^T``: the
 :class:`~chebratu.newton.Laplacian`, which serves any number of axes,
 with two.  A 2D solve is the shared :func:`~chebratu.newton.solve` with
 ``ndim=2``, each Newton step a GMRES solve preconditioned by the
-operator's fast diagonalization.
+operator's fast diagonalization, and the Dirichlet spectrum is the
+operator's :meth:`~chebratu.newton.Laplacian.eigenpairs`.
 
-This module holds what is 2D-only: the Dirichlet spectrum, read off the
-same fast diagonalization, and the one-point weighted-residual sketch of
-the diagram.  The ``"eigenfunction"`` guess, the ground state of the
-Dirichlet Laplacian in any number of axes, targets the small branch; the
-lowest polynomial basis function ``A (1 - x^2)(1 - y^2)`` targets the big
-branch, and its one-point estimate ``lam ~ 3.2 A exp(-0.64 A)`` (Boyd,
-1986) sketches the bifurcation diagram.
+This module holds what is 2D-only: the one-point weighted-residual
+sketch of the diagram.  The ``"eigenfunction"`` guess, the ground state
+of the Dirichlet Laplacian in any number of axes, targets the small
+branch; the lowest polynomial basis function ``A (1 - x^2)(1 - y^2)``
+targets the big branch, and its one-point estimate ``lam ~ 3.2 A
+exp(-0.64 A)`` (Boyd, 1986) sketches the bifurcation diagram.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chebyshev import Grid1D
 from .errors import InvalidArgumentError
-from .newton import laplacian
-from .numerics import EigenResult
 
-__all__ = [
-    "laplacian_eigs",
-    "onepoint_lambda",
-]
-
-
-def laplacian_eigs(grid: Grid1D, k: int) -> EigenResult:
-    """First ``k`` eigenpairs of ``-Lap``, sorted ascending.
-
-    Eigenvalue ``-(w_i + w_j)`` pairs with the field ``outer(V[:, i],
-    V[:, j])`` (``i`` along y), flattened x-fastest; ties keep ``(i, j)``
-    order.  Both factors have unit sup-norm and a positive first
-    significant entry (:func:`~chebratu.numerics.eig_general`), so the
-    field has them too.
-    """
-    m = grid.n - 1
-    if not 1 <= k <= m * m:
-        raise InvalidArgumentError(f"eigenpair count must be in [1, {m * m}], got {k}")
-    fd = laplacian(grid, 2).fd
-    sums = -fd.sums
-    order = np.argsort(sums, kind="stable")[:k]
-    iy, ix = np.divmod(order, m)
-    vectors = np.einsum("ak,bk->abk", fd.vectors[:, iy], fd.vectors[:, ix]).reshape(m * m, k)
-    return EigenResult(values=sums[order], vectors=vectors)
+__all__ = ["onepoint_lambda"]
 
 
 def onepoint_lambda(amplitude):

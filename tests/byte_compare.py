@@ -25,9 +25,11 @@ dimensions; ``file:`` guesses in both dimensions; the exit-2 and exit-3
 requests of ``tests/test_cli.py``; a gelfand pole (exit 4); a negative
 ``--lambda``, ``--n 3``, ``--epsilon`` with a term other than gelfand, an
 ``--L`` whose square overflows or is subnormal and one whose ``D2``
-overflows; and the help text of the program and of each subcommand.  Guess files are written to a temporary directory shared by
-both runs, so their paths, which the outputs record, agree.  pytest does
-not collect this file.
+overflows; a residual whose 2-norm overflows; the whole spectrum of the
+smallest grid; and the help text of the program and of each subcommand.
+Guess files are written to a temporary directory shared by both runs, so
+their paths, which the outputs record, agree.  pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -203,6 +205,15 @@ def requests(tmp: Path) -> list[list[str]]:
         reqs.append([*argv, "--L", "1e-160"])
     reqs += [["solve-1d", "--lambda", "0.5", "--L", "1e-153"],
              ["solve-2d", "--lambda", "0.5", "--L", "1e-153"]]
+    # residual entries finite but their 2-norm overflowing: a failed Newton
+    # step (exit 3) in both dimensions
+    for lam in ("1e160", "1e200", "1e300", "1e308"):
+        reqs.append(["solve-2d", "--lambda", lam])
+    for amplitude in ("400", "500", "700"):
+        reqs.append(["solve-2d", "--lambda", "0.5", "--n", "16", "--guess", "onepoint",
+                     "--amplitude", amplitude])
+    # the whole spectrum of the smallest grid, and one eigenpair too many
+    reqs += [["eig-2d", "--n", "3", "--samples", "4"], ["eig-2d", "--n", "3", "--samples", "5"]]
     for command in ("solve-1d", "solve-2d"):
         for amplitude in ("nan", "inf"):
             reqs.append([command, "--lambda", "0.25", "--guess", "onepoint",

@@ -358,3 +358,40 @@ def test_huge_guess_amplitude_exits_3_without_warnings(argv, tmp_path, capsys):
                     "--output", str(tmp_path / "out.json")])
     assert code == 3
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-2d", "--lambda", "1e160"],
+    ["solve-2d", "--lambda", "1e308"],
+    ["solve-2d", "--lambda", "0.5", "--n", "16", "--guess", "onepoint", "--amplitude", "400"],
+    ["solve-2d", "--lambda", "0.5", "--n", "16", "--guess", "onepoint", "--amplitude", "700"],
+    ["solve-1d", "--lambda", "1e308"],
+    ["solve-1d", "--lambda", "0.5", "--n", "16", "--guess", "onepoint", "--amplitude", "700"],
+], ids=["2d-lambda-1e160", "2d-lambda-1e308", "2d-amplitude-400", "2d-amplitude-700",
+        "1d-lambda-1e308", "1d-amplitude-700"])
+def test_newton_step_with_overflowing_residual_norm_exits_3(argv, tmp_path, capsys):
+    # every residual entry is finite but its 2-norm overflows: in 2D a failed
+    # GMRES solve (and mean(lam f'(u)) of the preconditioner overflows without a
+    # warning), reported like the 1D failure, with the trace
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        doc = _run_json(argv, tmp_path, expect=3)
+    assert doc["solution"] is None
+    assert doc["newton"]["converged"] is False
+    assert len(doc["newton"]["update_norms"]) == doc["newton"]["iterations"]
+    assert doc["error"]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-1d", "--lambda", "0.5", "--n"],
+    ["solve-2d", "--lambda", "0.5", "--n"],
+    ["coeffs", "1d", "--lambda", "0.5", "--n"],
+    ["eig-2d", "--n"],
+    ["bifurcation-1d", "--samples"],
+    ["bifurcation-2d-approx", "--samples"],
+], ids=["solve-1d", "solve-2d", "coeffs", "eig-2d", "bifurcation-1d", "bifurcation-2d-approx"])
+def test_size_too_large_to_index_exits_2(argv, capsys):
+    # 10**20 is past numpy's index range, so it fails before any allocation
+    assert run([*argv, str(10**20)]) == 2
+    assert f"argument {argv[-1]}: {10**20} is too large" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from chebratu import (
     make_nonlinearity,
     newton_kantorovich,
     second_diff_matrix,
+    solve,
 )
 from chebratu.errors import (
     DivergenceError,
@@ -229,20 +230,24 @@ def test_initial_guess_names_and_arrays(ndim):
 
 
 def test_initial_guess_eigenfunction_scales_the_ground_state():
-    """The outer product of the operator's ground state over its axes, in
-    any number of axes, with its maximum set to the amplitude."""
+    """The field of the operator's first eigenpair, the outer product of
+    the ground state of ``D2`` over its axes, in any number of axes, with
+    its maximum set to the amplitude."""
     grid = cheb_points(13, 1.0)
+    ground = laplacian(grid, 1).eigenpairs(1).vectors[:, 0]
     for ndim in (1, 2, 3):
         op = laplacian(grid, ndim)
-        ground = op.fd.vectors[:, 0].copy()
+        first = op.eigenpairs(1)
+        field = first.vectors[:, 0].reshape((12,) * ndim)
         guess = initial_guess(grid, op, "eigenfunction", 0.3)
         assert guess.shape == (12,) * ndim and guess.max() == 0.3
+        assert np.array_equal(guess, field * (0.3 / field.max()))
         expect = 0.3 * _tensor(ground, ndim) / ground.max() ** ndim
         assert np.max(np.abs(guess - expect)) < 1e-15
         assert np.array_equal(initial_guess(grid, op, "eigenfunction", None),
                               initial_guess(grid, op, "eigenfunction", 0.1))
         # scaling leaves the operator's cached eigenvectors as they were
-        assert np.array_equal(op.fd.vectors[:, 0], ground)
+        assert np.array_equal(op.eigenpairs(1).vectors, first.vectors)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -279,3 +284,31 @@ def test_solution_views(n, ndim):
     else:
         assert sol.u_max < 3.0
         assert abs(sol.center_value() - 3.0) <= 1e-14
+
+
+# a solve on [-L, L] at lam / L**2 is the L = 1 solve at lam: D2 scales by 1 / L**2
+_SCALING_LAM = 0.2
+
+
+def _scaled_solve(n, ndim, half_width, guess):
+    return solve(_SCALING_LAM / half_width**2, make_nonlinearity("exp"),
+                 cheb_points(n, half_width), ndim, guess)
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_half_width_scaling_relation_1d(n):
+    ref = _scaled_solve(n, 1, 1.0, "zero")
+    for half_width in (0.5, 2.0, 3.0):
+        sol = _scaled_solve(n, 1, half_width, "zero")
+        assert np.max(np.abs(sol.values - ref.values)) <= 1e-14, half_width
+        assert sol.trace.iterations == ref.trace.iterations, half_width
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the absolute residual test (1e-10) is not scale-invariant: at L = 0.5 the 2D solve "
+    "takes 3 Newton steps against 2 and differs by 6.6e-12 (ROADMAP item 5)"))
+def test_half_width_scaling_relation_2d():
+    ref = _scaled_solve(16, 2, 1.0, "eigenfunction")
+    sol = _scaled_solve(16, 2, 0.5, "eigenfunction")
+    assert sol.trace.iterations == ref.trace.iterations
+    assert np.max(np.abs(sol.values - ref.values)) <= 1e-14

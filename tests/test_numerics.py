@@ -80,6 +80,23 @@ def test_gmres_zero_right_hand_side():
     assert np.array_equal(x, np.zeros(8))
 
 
+def test_gmres_right_hand_side_checks():
+    # a non-finite entry is an invalid argument; finite entries whose 2-norm
+    # overflows make a failed solve, before any product is formed
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return v
+
+    for b in ([1.0, np.inf], [np.nan, 0.0]):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            gmres(apply, np.array(b), lambda v: v)
+    with pytest.raises(SingularMatrixError, match="overflows"):
+        gmres(apply, np.full(4, 1e160), lambda v: v)
+    assert calls == []
+
+
 def test_gmres_rank_deficient_raises():
     rng = np.random.default_rng(19)
     for m, rank in ((6, 3), (300, 299)):

@@ -12,7 +12,6 @@ from chebratu import (
     decay_report,
     initial_guess,
     laplacian,
-    laplacian_eigs,
     make_nonlinearity,
     onepoint_lambda,
     solve,
@@ -148,20 +147,20 @@ def test_fast_diagonalization_shifted_inverse():
 
 
 def test_smallest_eigenvalue_unit_square():
-    res = laplacian_eigs(cheb_points(24, 1.0), 4)
+    res = laplacian(cheb_points(24, 1.0), 2).eigenpairs(4)
     expect = np.pi**2 / 4.0 * np.array([2.0, 5.0, 5.0, 8.0])
     assert np.max(np.abs(res.values - expect)) < 1e-8
 
 
 def test_eigenvalues_side_pi_domain():
     # on [0, pi]^2 (half-width pi/2) the spectrum is m^2 + n^2
-    res = laplacian_eigs(cheb_points(24, np.pi / 2.0), 10)
+    res = laplacian(cheb_points(24, np.pi / 2.0), 2).eigenpairs(10)
     expect = np.array([2, 5, 5, 8, 10, 10, 13, 13, 17, 17], dtype=float)
     assert np.max(np.abs(res.values - expect)) < 1e-8
 
 
 def test_eigenvalue_multiplicity_pairs():
-    res = laplacian_eigs(cheb_points(20, np.pi / 2.0), 10)
+    res = laplacian(cheb_points(20, np.pi / 2.0), 2).eigenpairs(10)
     vals = res.values
     for i, j in ((1, 2), (4, 5), (6, 7), (8, 9)):
         assert abs(vals[i] - vals[j]) < 1e-8
@@ -171,7 +170,7 @@ def test_eigenvalues_match_dense_kronecker_spectrum():
     for n in (4, 5, 8, 11, 16):
         for half_width in (1.0, np.pi / 2.0):
             m2 = (n - 1) ** 2
-            res = laplacian_eigs(cheb_points(n, half_width), m2)
+            res = laplacian(cheb_points(n, half_width), 2).eigenpairs(m2)
             dense = np.sort(np.linalg.eigvals(-kron_laplacian(n, half_width)).real)
             assert res.values.dtype == res.vectors.dtype == np.float64
             assert np.max(np.abs(res.values - dense) / np.abs(dense)) < 1e-10
@@ -180,7 +179,7 @@ def test_eigenvalues_match_dense_kronecker_spectrum():
 @pytest.mark.parametrize("n", [3, 7, 12, 13, 32])
 def test_eigenvectors_are_eigenpairs(n):
     grid = cheb_points(n, 1.0)
-    res = laplacian_eigs(grid, (n - 1) ** 2)
+    res = laplacian(grid, 2).eigenpairs((n - 1) ** 2)
     op = laplacian(grid, 2)
     for k in range((n - 1) ** 2):
         v = res.vectors[:, k]
@@ -189,11 +188,44 @@ def test_eigenvectors_are_eigenpairs(n):
         assert np.max(np.abs(op.apply(v) + res.values[k] * v)) < 1e-9 * res.values[k]
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_eigenpairs_in_three_axes(n):
+    """Every eigenpair of the three-axis operator against the dense
+    Kronecker matrix: the values its spectrum, ascending, each field an
+    eigenvector with unit sup-norm and a positive lead entry.  The ground
+    state is even in every axis; the first excited value is triple, its
+    fields odd along one axis each (its three sums of ``w`` add in different
+    orders and round differently, so they agree to rounding only)."""
+    m = n - 1
+    for half_width in (1.0, np.pi / 2.0):
+        res = laplacian(cheb_points(n, half_width), 3).eigenpairs(m**3)
+        lap = kron_laplacian(n, half_width, 3)
+        dense = np.sort(np.linalg.eigvals(-lap).real)
+        assert np.all(np.diff(res.values) >= 0.0)
+        assert np.max(np.abs(res.values - dense) / np.abs(dense)) < 1e-10
+        for value, v in zip(res.values, res.vectors.T):
+            assert abs(np.max(np.abs(v)) - 1.0) < 1e-13
+            assert v[np.argmax(np.abs(v) > 1e-12)] > 0.0
+            assert np.max(np.abs(lap @ v + value * v)) < 1e-9 * value
+        fields = res.vectors.T.reshape(-1, m, m, m)
+        assert np.allclose(np.flip(fields[0], (0, 1, 2)), fields[0], atol=1e-12)
+        assert np.ptp(res.values[1:4]) < 1e-14 * res.values[1] < res.values[4] - res.values[3]
+        odd = [[np.allclose(np.flip(f, axis), -f, atol=1e-12) for axis in range(3)]
+               for f in fields[1:4]]
+        assert sorted(map(tuple, odd)) == [(False, False, True), (False, True, False),
+                                           (True, False, False)]
+
+
 def test_eig_count_validation(grid16):
     with pytest.raises(InvalidArgumentError):
-        laplacian_eigs(grid16, 0)
+        laplacian(grid16, 2).eigenpairs(0)
     with pytest.raises(InvalidArgumentError):
-        laplacian_eigs(grid16, 15 * 15 + 1)
+        laplacian(grid16, 2).eigenpairs(15 * 15 + 1)
+    grid4 = cheb_points(4, 1.0)
+    assert len(laplacian(grid4, 3).eigenpairs(27).values) == 27
+    for k in (0, 28):
+        with pytest.raises(InvalidArgumentError, match=r"\[1, 27\]"):
+            laplacian(grid4, 3).eigenpairs(k)
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +298,33 @@ def test_1d_solve_never_factors_d2(exp_nl, eig_calls, guess):
     assert eig_calls == []
 
 
-def test_eigenfunction_guess_solve_factors_d2_once(grid16, exp_nl, eig_calls):
+def test_eigenfunction_guess_solve_factors_d2_once(grid16, exp_nl, eig_calls, monkeypatch):
     """The eigenfunction guess takes its ground state from the solve's own
     fast diagonalization, which every GMRES step reuses: one eig of D2
-    per 2D solve, whatever the guess, and per 1D eigenfunction solve."""
+    per 2D solve, whatever the guess, and per 1D eigenfunction solve,
+    which never inverts the eigenvectors (only the preconditioner does)."""
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
     for guess, amplitude in (("eigenfunction", 0.1), ("onepoint", 1.0), ("zero", None)):
         eig_calls.clear()
         sol = solve(0.5, exp_nl, grid16, 2, guess, amplitude)
-        assert eig_calls == [(15, 15)], guess
+        assert eig_calls == [(15, 15)] and inverted == [(15, 15)], guess
         assert abs(sol.u_max - UMAX_SMALL_N16) < 1e-9
+        inverted.clear()
     eig_calls.clear()
     sol = solve(0.25, exp_nl, cheb_points(32, 1.0), 1, "eigenfunction")
     assert sol.trace.converged and sol.trace.linear_iterations == [1] * sol.trace.iterations
-    assert eig_calls == [(31, 31)]
+    assert eig_calls == [(31, 31)] and inverted == []
 
 
-def test_laplacian_eigs_factors_d2_once(grid16, eig_calls):
-    laplacian_eigs(grid16, 10)
+def test_eigenpairs_factors_d2_once(grid16, eig_calls):
+    op = laplacian(grid16, 2)
+    op.eigenpairs(10)
+    assert eig_calls == [(15, 15)]
+    # the guess and a second request read the same decomposition
+    initial_guess(grid16, op, "eigenfunction")
+    op.eigenpairs(3)
     assert eig_calls == [(15, 15)]
 
 
