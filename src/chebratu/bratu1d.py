@@ -85,7 +85,8 @@ def lambda_of_amplitude(amplitude, half_width: float = 1.0):
     A = _check_amplitude(amplitude)
     L = _check_half_width(half_width)
     b = _b_of_amplitude(A)
-    lam = 2.0 * b**2 / (L**2 * np.exp(A))
+    with np.errstate(over="ignore"):  # past the float range, lam underflows to 0
+        lam = 2.0 * b**2 / (L**2 * np.exp(A))
     return float(lam) if np.isscalar(amplitude) or np.ndim(amplitude) == 0 else lam
 
 

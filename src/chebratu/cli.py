@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -43,6 +44,19 @@ def _size(text: str) -> int:
     if value >= np.iinfo(np.intp).max:
         raise argparse.ArgumentTypeError(f"{value} is too large")
     return value
+
+
+def _guess_file(path: str) -> np.ndarray:
+    """The table of finite numbers in the text file ``path``, else exit 2 naming it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy's "input contained no data"
+            data = np.loadtxt(path)
+    except (ValueError, UserWarning) as exc:  # UnicodeDecodeError is a ValueError
+        raise InvalidArgumentError(f"guess file {path!r}: {exc}") from None
+    if not np.all(np.isfinite(data)):
+        raise InvalidArgumentError(f"guess file {path!r} holds a non-finite number")
+    return data
 
 
 def _add_common(p, *, guesses=None):
@@ -185,7 +199,7 @@ def _solving(report):
     def handler(args):
         n = args.n if args.n is not None else (32 if args.dim == "1d" else 16)
         grid = cheb_points(n, args.half_width)
-        guess = np.loadtxt(args.guess[5:]) if args.guess.startswith("file:") else args.guess
+        guess = _guess_file(args.guess[5:]) if args.guess.startswith("file:") else args.guess
         params = {
             "lambda": args.lam,
             "L": args.half_width,

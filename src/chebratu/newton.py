@@ -19,7 +19,7 @@ steps are solved: by LU in 1D, by preconditioned GMRES otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -97,13 +97,14 @@ class NewtonTrace:
         return len(self.update_norms)
 
 
-def _lu_step(jacobian, rhs):
-    return lu_solve(jacobian, rhs), 1
-
-
 def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = None,
                        solve=None):
     """Solve ``F(u) = 0`` by undamped Newton iteration.
+
+    The callbacks share one floating-point policy: overflow and invalid
+    operations give ``inf`` or ``nan`` silently, for the finiteness checks
+    to report as a :class:`~chebratu.errors.DivergenceError`; a division
+    by zero still warns.
 
     Parameters
     ----------
@@ -131,10 +132,11 @@ def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = Non
     NonConvergenceError
         If ``max_iter`` is exhausted; carries the trace.
     DivergenceError
-        If an iterate or residual becomes non-finite; carries the trace.
+        If an iterate, residual or Jacobian becomes non-finite; carries the
+        trace.
     """
     cfg = config if config is not None else NewtonConfig()
-    solve = solve if solve is not None else _lu_step
+    solve = solve if solve is not None else (lambda J, b: (lu_solve(J, b), 1))
     u = np.array(u0, dtype=float, copy=True)
     if u.ndim != 1 or u.size == 0:
         raise InvalidArgumentError("initial guess must be a nonempty vector")
@@ -144,44 +146,37 @@ def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = Non
     linear_iterations: list[int] = []
 
     def trace(converged: bool = False) -> NewtonTrace:
-        return NewtonTrace(
-            update_norms=list(update_norms),
-            residual_norms=list(residual_norms),
-            converged=converged,
-            linear_iterations=list(linear_iterations),
-        )
+        # an iteration that ends in a non-finite iterate or residual records inf
+        pad = [float("inf")] * (len(update_norms) - len(residual_norms))
+        return NewtonTrace(list(update_norms), residual_norms + pad, converged,
+                           list(linear_iterations))
 
-    def evaluate(fun, what: str) -> np.ndarray:
+    def evaluate(fun, what: str, failure: str) -> np.ndarray:
         out = np.asarray(fun(u), dtype=float)
         if out.shape[0] != u.shape[0]:
-            raise InvalidArgumentError(
-                f"{what} shape {out.shape} inconsistent with iterate of length {u.shape[0]}"
-            )
+            raise InvalidArgumentError(f"{what} shape {out.shape} inconsistent with "
+                                       f"iterate of length {u.shape[0]}")
+        if not np.all(np.isfinite(out)):
+            raise DivergenceError(failure, trace())
         return out
 
-    F = evaluate(residual, "residual")
-    if not np.all(np.isfinite(F)):
-        raise DivergenceError("residual is not finite at the initial guess", trace())
-
-    for _ in range(cfg.max_iter):
-        J = evaluate(jacobian, "jacobian")
-        try:
-            delta, inner = solve(J, -F)
-        except SingularMatrixError as exc:
-            raise SingularJacobianError(str(exc), trace()) from exc
-        u = u + delta
-        update_norms.append(float(np.max(np.abs(delta))))
-        linear_iterations.append(int(inner))
-        if not np.all(np.isfinite(u)):
-            residual_norms.append(float("inf"))
-            raise DivergenceError("iterate became non-finite", trace())
-        F = evaluate(residual, "residual")
-        if not np.all(np.isfinite(F)):
-            residual_norms.append(float("inf"))
-            raise DivergenceError("residual became non-finite", trace())
-        residual_norms.append(float(np.max(np.abs(F))))
-        if update_norms[-1] <= cfg.tol_update or residual_norms[-1] <= _TOL_RESIDUAL:
-            return u, trace(converged=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = evaluate(residual, "residual", "residual is not finite at the initial guess")
+        for _ in range(cfg.max_iter):
+            J = evaluate(jacobian, "jacobian", "jacobian is not finite")
+            try:
+                delta, inner = solve(J, -F)
+            except SingularMatrixError as exc:
+                raise SingularJacobianError(str(exc), trace()) from exc
+            u = u + delta
+            update_norms.append(float(np.max(np.abs(delta))))
+            linear_iterations.append(int(inner))
+            if not np.all(np.isfinite(u)):
+                raise DivergenceError("iterate became non-finite", trace())
+            F = evaluate(residual, "residual", "residual became non-finite")
+            residual_norms.append(float(np.max(np.abs(F))))
+            if update_norms[-1] <= cfg.tol_update or residual_norms[-1] <= _TOL_RESIDUAL:
+                return u, trace(converged=True)
 
     raise NonConvergenceError(
         f"no convergence within {cfg.max_iter} iterations "
@@ -202,17 +197,12 @@ class Nonlinearity:
     derivative: object
 
 
-def _scaled(f):
-    """``(lam, u) -> lam * f(u)``, overflowing to inf without a warning."""
-    def term(lam, u):
-        with np.errstate(over="ignore"):
-            return lam * f(u)
-    return term
-
-
 # one shared object per named term; gelfand depends on epsilon, built per call
-_TERMS = {name: Nonlinearity(_scaled(f), _scaled(df)) for name, f, df in
-          (("exp", np.exp, np.exp), ("cosh", np.cosh, np.sinh), ("sinh", np.sinh, np.cosh))}
+_TERMS = {
+    "exp": Nonlinearity(lambda lam, u: lam * np.exp(u), lambda lam, u: lam * np.exp(u)),
+    "cosh": Nonlinearity(lambda lam, u: lam * np.cosh(u), lambda lam, u: lam * np.sinh(u)),
+    "sinh": Nonlinearity(lambda lam, u: lam * np.sinh(u), lambda lam, u: lam * np.cosh(u)),
+}
 
 
 def _gelfand_terms(eps: float):
@@ -226,10 +216,9 @@ def _gelfand_terms(eps: float):
 
     def derivative(lam, u):
         d = pole_free(u)
-        with np.errstate(over="ignore"):
-            return lam * np.exp(u / d) / d**2
+        return lam * np.exp(u / d) / d**2
 
-    return _scaled(lambda u: np.exp(u / pole_free(u))), derivative
+    return (lambda lam, u: lam * np.exp(u / pole_free(u))), derivative
 
 
 def make_nonlinearity(name: str, epsilon: float | None = None) -> Nonlinearity:
@@ -366,8 +355,7 @@ class Laplacian:
         """
         if self.ndim == 1:
             return lu_solve(self.shifted(d), b), 1
-        with np.errstate(over="ignore"):  # a mean that overflows is inf
-            c = float(np.mean(d))
+        c = float(np.mean(d))
         return gmres(lambda x: self.apply(x) + d * x, b,
                      lambda r: self.shifted_inverse(c, r))
 
@@ -432,13 +420,15 @@ def initial_guess(grid: Grid1D, operator: Laplacian, guess,
 
     ``amplitude=None`` means 6 for ``onepoint`` and 0.1 for
     ``eigenfunction``; an amplitude must be finite, and positive for
-    ``eigenfunction``.  The eigenfunction guess targets the small branch,
-    the one-point guess the big one.
+    ``eigenfunction``, and an array guess finite.  The eigenfunction guess
+    targets the small branch, the one-point guess the big one.
     """
     ndim = operator.ndim
     shape = (grid.n - 1,) * ndim
     if not isinstance(guess, str):
         u = np.asarray(guess, dtype=float)
+        if not np.all(np.isfinite(u)):
+            raise InvalidArgumentError("custom guess must be finite")
         if u.shape == (grid.n + 1,) * ndim:
             return u[(slice(1, -1),) * ndim].copy()
         if u.shape == shape:
@@ -485,18 +475,11 @@ def solve(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, ndim: int, guess
     operator = laplacian(grid, ndim)
     u0 = initial_guess(grid, operator, guess, amplitude)
 
-    # Lap u of a huge iterate overflows to inf or nan without a warning, as
-    # the reaction term does; the Newton finiteness checks report it (GMRES
-    # evaluates Lap under the same state)
-    @np.errstate(over="ignore", invalid="ignore")
     def residual(u):
         return operator.apply(u) + nonlinearity.value(lam, u)
 
-    def jacobian(u):
-        return nonlinearity.derivative(lam, u)
-
-    u, trace = newton_kantorovich(residual, jacobian, np.ravel(u0), config,
-                                  solve=operator.solve_shifted)
+    u, trace = newton_kantorovich(residual, partial(nonlinearity.derivative, lam),
+                                  np.ravel(u0), config, solve=operator.solve_shifted)
     return Solution(grid=grid, values=np.pad(u.reshape(np.shape(u0)), 1), lam=float(lam),
                     nonlinearity=nonlinearity, branch="unknown", trace=trace)
 

@@ -21,12 +21,15 @@ The list covers all eight subcommands in json, csv and dat; n = 7, 12, 13,
 15, 16, 32, 48 and 64; the exp, gelfand, cosh and sinh terms in both
 dimensions (the 1D solve, stability and coefficient subcommands with each
 term from both guesses); both branches; the eigenfunction guess in both
-dimensions; ``file:`` guesses in both dimensions; the exit-2 and exit-3
-requests of ``tests/test_cli.py``; a gelfand pole (exit 4); a negative
-``--lambda``, ``--n 3``, ``--epsilon`` with a term other than gelfand, an
-``--L`` whose square overflows or is subnormal and one whose ``D2``
-overflows; a residual whose 2-norm overflows; the whole spectrum of the
-smallest grid; and the help text of the program and of each subcommand.
+dimensions; ``file:`` guesses in both dimensions, among them an empty and
+a NaN one; the exit-2 and exit-3 requests of ``tests/test_cli.py``; a
+gelfand pole (exit 4); a negative ``--lambda``, ``--n 3``, ``--epsilon``
+with a term other than gelfand, an ``--L`` whose square overflows or is
+subnormal, one whose ``D2`` overflows and one whose closed-form ``lam``
+underflows; a residual whose 2-norm overflows; a guess amplitude of
+1e308 for every term but exp, and a gelfand Jacobian that overflows; the
+whole spectrum of the smallest grid; and the help text of the program and
+of each subcommand.
 Guess files are written to a temporary directory shared by both runs, so
 their paths, which the outputs record, agree.  pytest does not collect
 this file.
@@ -62,9 +65,12 @@ def _guess_files(tmp: Path) -> dict:
     b = np.arccosh(np.exp(4.0914672461892596 / 2.0))
     big_1d = 4.0914672461892596 - 2.0 * np.log(np.cosh(b * x))
     for name, data in (("1d_full", big_1d), ("1d_interior", big_1d[1:-1]),
-                       ("1d_bad", big_1d[:10])):
+                       ("1d_bad", big_1d[:10]), ("1d_nan", np.full(33, np.nan)),
+                       ("2d_nan", np.full((17, 17), np.nan))):
         files[name] = tmp / f"{name}.txt"
         np.savetxt(files[name], data)
+    files["empty"] = tmp / "empty.txt"
+    files["empty"].write_text("")
     for n in (12, 16):
         x = points(n)
         small = 0.1 * np.outer(np.cos(np.pi * x / 2.0), np.cos(np.pi * x / 2.0))
@@ -188,6 +194,10 @@ def requests(tmp: Path) -> list[list[str]]:
          "--guess", f"file:{files['2d_small_full_16']}"],
         ["solve-2d", "--lambda", "0.5", "--guess", f"file:{tmp / 'missing.txt'}"],
         ["solve-1d", "--lambda", "0.25", "--guess", f"file:{tmp / 'missing.txt'}"],
+        ["solve-1d", "--lambda", "0.25", "--guess", f"file:{files['empty']}"],
+        ["solve-2d", "--lambda", "0.5", "--guess", f"file:{files['empty']}"],
+        ["solve-1d", "--lambda", "0.25", "--guess", f"file:{files['1d_nan']}"],
+        ["solve-2d", "--lambda", "0.5", "--guess", f"file:{files['2d_nan']}"],
         ["solve-2d", "--lambda", "0.5", "--n", "2"],
         ["solve-1d", "--lambda", "0.25", "--tol", "0"],
         ["eig-2d", "--samples", "0"],
@@ -203,6 +213,8 @@ def requests(tmp: Path) -> list[list[str]]:
     for argv in (["solve-1d", "--lambda", "0.5"], ["solve-2d", "--lambda", "0.5"],
                  ["bifurcation-1d"]):
         reqs.append([*argv, "--L", "1e-160"])
+    # an L whose square is finite but whose lam(A) underflows to 0
+    reqs.append(["bifurcation-1d", "--L", "1e154"])
     reqs += [["solve-1d", "--lambda", "0.5", "--L", "1e-153"],
              ["solve-2d", "--lambda", "0.5", "--L", "1e-153"]]
     # residual entries finite but their 2-norm overflowing: a failed Newton
@@ -218,6 +230,13 @@ def requests(tmp: Path) -> list[list[str]]:
         for amplitude in ("nan", "inf"):
             reqs.append([command, "--lambda", "0.25", "--guess", "onepoint",
                          "--amplitude", amplitude])
+        # a guess whose residual overflows (exit 3), for every term but exp,
+        # and a gelfand Jacobian that overflows where the residual does not
+        for nl in (["gelfand", "--epsilon", "0.1"], ["cosh"], ["sinh"]):
+            reqs.append([command, "--lambda", "0.5", "--guess", "onepoint",
+                         "--amplitude", "1e308", "--nonlinearity", *nl])
+        reqs.append([command, "--lambda", "1.7e308", "--nonlinearity", "gelfand",
+                     "--epsilon", "0.9", "--guess", "onepoint", "--amplitude", "-0.5"])
     # help text, which argparse writes to stdout before it exits 0
     reqs.append(["--help"])
     for command in ("bifurcation-1d", "solve-1d", "stability-1d", "eig-2d", "solve-2d",

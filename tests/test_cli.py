@@ -343,15 +343,24 @@ print("scipy.linalg" in sys.modules, "scipy.fft" in sys.modules)
     assert res.stdout.splitlines() == ["[]", "True False"]
 
 
+_TERMS = {"gelfand": ["--nonlinearity", "gelfand", "--epsilon", "0.1"],
+          "cosh": ["--nonlinearity", "cosh"], "sinh": ["--nonlinearity", "sinh"]}
+
+
 @pytest.mark.parametrize("argv", [
     ["solve-1d", "--guess", "onepoint"],
     ["solve-2d", "--guess", "onepoint"],
     ["solve-1d", "--guess", "eigenfunction"],
     ["solve-2d", "--guess", "eigenfunction"],
+    *[[command, "--guess", "onepoint", *term] for command in ("solve-1d", "solve-2d")
+      for term in _TERMS.values()],
 ], ids=["solve-1d-onepoint", "solve-2d-onepoint", "solve-1d-eigenfunction",
-        "solve-2d-eigenfunction"])
+        "solve-2d-eigenfunction",
+        *[f"{command}-onepoint-{name}" for command in ("solve-1d", "solve-2d")
+          for name in _TERMS]])
 def test_huge_guess_amplitude_exits_3_without_warnings(argv, tmp_path, capsys):
-    # Lap u overflows at the guess; the Newton finiteness checks report it
+    # Lap u and the reaction term overflow at the guess; the Newton driver
+    # evaluates them with overflow silent and its finiteness checks report it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run([*argv, "--lambda", "0.5", "--amplitude", "1e308",
@@ -381,6 +390,57 @@ def test_newton_step_with_overflowing_residual_norm_exits_3(argv, tmp_path, caps
     assert len(doc["newton"]["update_norms"]) == doc["newton"]["iterations"]
     assert doc["error"]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["solve-1d", "solve-2d"])
+def test_jacobian_that_overflows_exits_3(command, tmp_path, capsys):
+    # lam exp(u / d) is finite at the negative guess, but its derivative, that
+    # divided by d**2 < 1, overflows: a Newton failure in both dimensions,
+    # not a matrix the 1D LU step rejects as an invalid request
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        doc = _run_json([command, "--lambda", "1.7e308", "--nonlinearity", "gelfand",
+                         "--epsilon", "0.9", "--guess", "onepoint", "--amplitude", "-0.5"],
+                        tmp_path, expect=3)
+    assert doc["error"] == "jacobian is not finite"
+    assert doc["newton"]["iterations"] == 0
+    assert capsys.readouterr().err == ""
+
+
+def _table(value: str, shape) -> bytes:
+    return b"".join((" ".join([value] * shape[-1]) + "\n").encode() for _ in range(shape[0]))
+
+
+@pytest.mark.parametrize("content", [b"abc\n", b"1 2\n3\n", b"\xff\xfe 1\n", b"", "nan", "inf"],
+                         ids=["text", "ragged", "not-utf8", "empty", "nan", "inf"])
+@pytest.mark.parametrize("command, shape", [("solve-1d", (33,)), ("solve-2d", (17, 17))],
+                         ids=["solve-1d", "solve-2d"])
+def test_unreadable_guess_file_is_an_invalid_request(command, shape, content, tmp_path, capsys):
+    # a file that is not a table of finite numbers (here a non-finite one of
+    # the grid's shape) exits 2 with one line naming it, and numpy's own
+    # messages, such as its warning on an empty file, do not reach stderr
+    path = tmp_path / "guess.txt"
+    path.write_bytes(_table(content, shape) if isinstance(content, str) else content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--lambda", "0.5", "--guess", f"file:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("chebratu: invalid request: guess file ")
+    assert str(path) in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_bifurcation_1d_lambda_underflows_without_warning(tmp_path):
+    # L**2 exp(A) overflows at L = 1e154 for all but the smallest amplitudes,
+    # so lam(A) = 2 b**2 / (L**2 exp(A)) is 0 there, and subnormal below
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        doc = _run_json(["bifurcation-1d", "--L", "1e154", "--samples", "20"], tmp_path)
+    lams = [lam for _, lam in doc["samples"]]
+    assert doc["fold"]["lambda"] == 0.0
+    assert lams[-1] == 0.0
+    assert all(0.0 <= lam < 1e-300 for lam in lams)
 
 
 @pytest.mark.parametrize("argv", [

@@ -97,30 +97,46 @@ def test_nonconvergence_carries_trace():
     assert len(trace.residual_norms) == 8
 
 
-def test_divergence_on_initial_residual():
-    def residual(u):
-        with np.errstate(over="ignore"):
-            return np.exp(u)
+# the callbacks below overflow with no np.errstate of their own: the driver
+# evaluates them with overflow silent (and the test run turns a RuntimeWarning
+# into an error)
 
+
+def test_divergence_on_initial_residual():
     with pytest.raises(DivergenceError):
-        newton_kantorovich(residual, lambda u: np.diag(np.exp(u)), np.array([800.0]))
+        newton_kantorovich(lambda u: np.exp(u), lambda u: np.diag(np.exp(u)),
+                           np.array([800.0]))
 
 
 def test_divergence_mid_iteration():
     # tiny Jacobian at the start throws the iterate to 1e260, where the
     # residual overflows
-    def residual(u):
-        with np.errstate(over="ignore"):
-            return np.exp(u) - 3.0
-
-    def jacobian(u):
-        with np.errstate(over="ignore"):
-            return np.diag(np.exp(u))
-
     with pytest.raises(DivergenceError) as info:
-        newton_kantorovich(residual, jacobian, np.array([-600.0]))
+        newton_kantorovich(lambda u: np.exp(u) - 3.0, lambda u: np.diag(np.exp(u)),
+                           np.array([-600.0]))
     assert info.value.trace.iterations == 1
     assert info.value.trace.residual_norms[-1] == np.inf
+
+
+def test_driver_silences_overflow_in_residual_and_jacobian():
+    # the logistic residual is finite at u = -800 although exp(800) overflows
+    # in it; its derivative is inf / inf there: a divergence with its trace,
+    # and no warning
+    def residual(u):
+        return 1.0 / (1.0 + np.exp(-u)) - 0.75
+
+    def jacobian(u):
+        return np.diag(np.exp(-u) / (1.0 + np.exp(-u)) ** 2)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="jacobian is not finite") as info:
+            newton_kantorovich(residual, jacobian, np.array([-800.0]))
+        # from u = 0 the same callbacks converge to log 3
+        sol, _ = newton_kantorovich(residual, jacobian, np.array([0.0]))
+    assert info.value.trace.iterations == 0
+    assert info.value.trace.residual_norms == []
+    assert abs(sol[0] - np.log(3.0)) < 1e-12
 
 
 def test_iterate_residual_shape_checks():
@@ -266,6 +282,11 @@ def test_initial_guess_rejects(ndim):
     for amplitude in (0.0, -1.0):
         with pytest.raises(InvalidArgumentError, match="positive"):
             initial_guess(grid, op, "eigenfunction", amplitude)
+    # an array is held to the rule for an amplitude: finite, in either shape
+    for shape in ((13,) * ndim, (11,) * ndim):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                initial_guess(grid, op, np.full(shape, value))
 
 
 @pytest.mark.parametrize("n", [12, 13])
