@@ -212,7 +212,7 @@ def solve_1d(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, guess="zero",
     """Newton-Kantorovich solution of the collocation system.
 
     The shared :func:`~chebratu.newton.solve` with ``ndim=1``: the
-    interior system ``D2 u + lam f(u) = 0``, each Newton step an LU solve,
+    interior system ``D2 u + lam f(u) = 0``, each Newton step a QR solve,
     from ``guess`` and ``amplitude`` (``"zero"``, ``"onepoint"``,
     ``"eigenfunction"`` or a custom vector; see
     :func:`~chebratu.newton.initial_guess`).  For the exp term and ``0 < lam < lam*`` the result

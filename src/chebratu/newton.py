@@ -13,7 +13,8 @@ its solve: one interior operator (:class:`Laplacian`, for any number of
 axes), one starting field (:func:`initial_guess`), one Newton solve
 (:func:`solve`, for any reaction term of :func:`make_nonlinearity`) and
 one result (:class:`Solution`).  The dimension only picks how the Newton
-steps are solved: by LU in 1D, by preconditioned GMRES otherwise.
+steps are solved: by Householder QR in 1D, by preconditioned GMRES
+otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     SingularMatrixError,
     SingularNonlinearityError,
 )
-from .numerics import EigenResult, eig_general, gmres, lu_solve
+from .numerics import EigenResult, eig_general, gmres, qr_solve
 
 __all__ = [
     "Laplacian",
@@ -82,7 +83,7 @@ class NewtonTrace:
     ``update_norms[k]`` is ``||d_k||_inf`` of iteration ``k``;
     ``residual_norms[k]`` is ``||F||_inf`` at the iterate produced by that
     iteration; ``linear_iterations[k]`` counts the inner iterations of its
-    linear solve (1 for a direct LU solve, the GMRES steps otherwise).
+    linear solve (1 for a direct QR solve, the GMRES steps otherwise).
     The lists have length ``iterations``.
     """
 
@@ -97,8 +98,8 @@ class NewtonTrace:
         return len(self.update_norms)
 
 
-def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = None,
-                       solve=None):
+def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = None, *,
+                       solve):
     """Solve ``F(u) = 0`` by undamped Newton iteration.
 
     The callbacks share one floating-point policy: overflow and invalid
@@ -111,15 +112,13 @@ def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = Non
     residual : callable
         ``u -> F(u)``, mapping a length-m vector to a length-m vector.
     jacobian : callable
-        ``u -> J(u)``, the derivative of ``F`` in the form ``solve`` takes:
-        by default the dense m-by-m matrix.
+        ``u -> J(u)``, the derivative of ``F`` in the form ``solve`` takes.
     u0 : array_like
         Starting vector.
     config : NewtonConfig, optional
-    solve : callable, optional
+    solve : callable
         ``(J, b) -> (x, linear_iterations)`` solving ``J x = b``; raises
-        :class:`~chebratu.errors.SingularMatrixError` when it cannot.  The
-        default is a dense LU solve, counted as one linear iteration.
+        :class:`~chebratu.errors.SingularMatrixError` when it cannot.
 
     Returns
     -------
@@ -136,7 +135,6 @@ def newton_kantorovich(residual, jacobian, u0, config: NewtonConfig | None = Non
         trace.
     """
     cfg = config if config is not None else NewtonConfig()
-    solve = solve if solve is not None else (lambda J, b: (lu_solve(J, b), 1))
     u = np.array(u0, dtype=float, copy=True)
     if u.ndim != 1 or u.size == 0:
         raise InvalidArgumentError("initial guess must be a nonempty vector")
@@ -302,8 +300,11 @@ class Laplacian:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        """``mu_i + mu_j + ...`` over every index tuple, flattened x-fastest."""
-        return reduce(np.add.outer, [self._eig.values] * self.ndim).reshape(-1)
+        """``mu_i + mu_j + ...`` over every index tuple, flattened x-fastest,
+        each sum taken in ascending order of its terms, so that the index
+        tuples of one multiset of indices tie exactly."""
+        terms = np.meshgrid(*[self._eig.values] * self.ndim, indexing="ij")
+        return reduce(np.add, np.sort(terms, axis=0)).reshape(-1)
 
     def _fields(self, index) -> np.ndarray:
         """The eigenfields of the index tuples ``zip(*index)`` (slowest axis
@@ -350,11 +351,11 @@ class Laplacian:
     def solve_shifted(self, d, b):
         """Solve ``(Lap + diag(d)) x = b``; returns ``(x, linear_iterations)``.
 
-        In 1D by LU of :meth:`shifted`, one iteration; otherwise by GMRES
+        In 1D by QR of :meth:`shifted`, one iteration; otherwise by GMRES
         preconditioned with ``(Lap + mean(d) I)^-1``, counting its steps.
         """
         if self.ndim == 1:
-            return lu_solve(self.shifted(d), b), 1
+            return qr_solve(self.shifted(d), b), 1
         c = float(np.mean(d))
         return gmres(lambda x: self.apply(x) + d * x, b,
                      lambda r: self.shifted_inverse(c, r))
@@ -419,12 +420,15 @@ def initial_guess(grid: Grid1D, operator: Laplacian, guess,
       ``amplitude`` exactly.
 
     ``amplitude=None`` means 6 for ``onepoint`` and 0.1 for
-    ``eigenfunction``; an amplitude must be finite, and positive for
-    ``eigenfunction``, and an array guess finite.  The eigenfunction guess
-    targets the small branch, the one-point guess the big one.
+    ``eigenfunction``; an amplitude must be finite whatever the guess (one
+    that ignores it too), and positive for ``eigenfunction``, and an array
+    guess finite.  The eigenfunction guess targets the small branch, the
+    one-point guess the big one.
     """
     ndim = operator.ndim
     shape = (grid.n - 1,) * ndim
+    if amplitude is not None and not np.isfinite(amplitude):
+        raise InvalidArgumentError("guess amplitude must be finite")
     if not isinstance(guess, str):
         u = np.asarray(guess, dtype=float)
         if not np.all(np.isfinite(u)):
@@ -439,8 +443,6 @@ def initial_guess(grid: Grid1D, operator: Laplacian, guess,
         )
     if guess == "zero":
         return np.zeros(shape)
-    if amplitude is not None and not np.isfinite(amplitude):
-        raise InvalidArgumentError("guess amplitude must be finite")
     if guess == "onepoint":
         amplitude = 6.0 if amplitude is None else amplitude
         factor = 1.0 - (grid.points[1:-1] / grid.half_width) ** 2

@@ -1,10 +1,9 @@
-"""Linear-algebra kernels: LU and GMRES solves, real eigendecompositions.
+"""Linear-algebra kernels: QR and GMRES solves, real eigendecompositions.
 
-Thin, contract-enforcing wrappers over LAPACK: partial pivoting with an
-explicit near-singularity check for the dense Newton inner solves (SciPy's
-LU, imported on the first call, so a process that never calls it never
-loads SciPy), a preconditioned GMRES for the matrix-free ones, and a
-deterministically sorted and normalized eigendecomposition for the
+Thin, contract-enforcing wrappers over LAPACK, through NumPy alone: a
+Householder QR with an explicit near-singularity check for the dense
+Newton inner solves, a preconditioned GMRES for the matrix-free ones, and
+a deterministically sorted and normalized eigendecomposition for the
 stability verdicts and the fast diagonalization of the 2D Laplacian.
 Both of those spectra are real (the Dirichlet Chebyshev ``D2`` has real,
 negative, distinct eigenvalues; Gottlieb & Lustman, 1983), so the
@@ -13,16 +12,16 @@ eigendecomposition is real and treats a complex spectrum as a failure.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, SingularMatrixError
 
-__all__ = ["EigenResult", "lu_solve", "gmres", "eig_general"]
+__all__ = ["EigenResult", "qr_solve", "gmres", "eig_general"]
 
-# pivots below this multiple of the matrix norm are treated as zero
+# pivots (diagonal entries of R) below this multiple of the matrix norm are
+# treated as zero
 _PIVOT_RTOL = 1e-14
 # GMRES stops when its residual estimate is below _GMRES_RTOL * ||b||_2 and
 # the recomputed residual b - A x below _GMRES_CHECK_RTOL * ||b||_2: the
@@ -65,13 +64,13 @@ def _as_square(a) -> np.ndarray:
     return A
 
 
-def lu_solve(a, b) -> np.ndarray:
-    """Solve ``A x = b`` by LU factorization with partial pivoting.
+def qr_solve(a, b) -> np.ndarray:
+    """Solve ``A x = b`` by Householder QR, ``x = R^-1 Q^T b``.
 
     Raises
     ------
     SingularMatrixError
-        If any pivot falls below ``1e-14 * ||A||_inf``.
+        If any pivot, a diagonal entry of ``R``, falls below ``1e-14 * ||A||_inf``.
     InvalidArgumentError
         On shape mismatch or non-finite entries.
     """
@@ -83,23 +82,19 @@ def lu_solve(a, b) -> np.ndarray:
         )
     if not np.all(np.isfinite(rhs)):
         raise InvalidArgumentError("right-hand side entries must be finite")
-    import scipy.linalg
-
     norm = np.max(np.sum(np.abs(A), axis=1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) <= _PIVOT_RTOL * norm:
+    q, r = np.linalg.qr(A)
+    if np.min(np.abs(np.diag(r))) <= _PIVOT_RTOL * norm:
         raise SingularMatrixError(
             f"matrix is singular to working precision (pivot <= {_PIVOT_RTOL} * ||A||)"
         )
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    return np.linalg.solve(r, q.T @ rhs)
 
 
 def _back_substitute(r, g) -> np.ndarray:
     """Solve ``R y = g`` for upper-triangular ``R`` with nonzero diagonal,
-    row by row from the last; the tests check it against
-    ``scipy.linalg.solve_triangular`` bit for bit."""
+    row by row from the last; the tests check it bit for bit against
+    LAPACK's triangular solve."""
     y = np.empty(len(g))
     for i in range(len(g) - 1, -1, -1):
         y[i] = (g[i] - r[i, i + 1:] @ y[i + 1:]) / r[i, i]

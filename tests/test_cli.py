@@ -128,13 +128,17 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
     assert run(["bifurcation-1d", "--samples", "1"]) == 2
     assert run(["solve-1d", "--lambda", "0.25",
                 "--output", str(tmp_path / "no" / "dir.json")]) == 2
-    # guesses: names are checked, an amplitude must be finite (the
-    # eigenfunction's also positive, in either dimension) and a file must
-    # match the grid
+    # guesses: names are checked, an amplitude must be finite whatever the
+    # guess (the eigenfunction's also positive, in either dimension) and a
+    # file must match the grid
     bad_1d = tmp_path / "bad1.txt"
     np.savetxt(bad_1d, np.zeros(10))
     bad_2d = tmp_path / "bad2.txt"
     np.savetxt(bad_2d, np.zeros((16, 16)))
+    good_1d = tmp_path / "good1.txt"
+    np.savetxt(good_1d, np.zeros(33))
+    good_2d = tmp_path / "good2.txt"
+    np.savetxt(good_2d, np.zeros((17, 17)))
     for argv in (["solve-1d", "--guess", "eigenfunction", "--amplitude", "0"],
                  ["solve-1d", "--guess", f"file:{bad_1d}"],
                  ["solve-2d", "--guess", "mystery"],
@@ -144,7 +148,11 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
                  ["solve-1d", "--guess", "onepoint", "--amplitude", "nan"],
                  ["solve-1d", "--guess", "onepoint", "--amplitude", "inf"],
                  ["solve-2d", "--guess", "onepoint", "--amplitude", "nan"],
-                 ["solve-2d", "--guess", "onepoint", "--amplitude", "inf"]):
+                 ["solve-2d", "--guess", "onepoint", "--amplitude", "inf"],
+                 ["solve-1d", "--guess", "zero", "--amplitude", "nan"],
+                 ["solve-2d", "--guess", "zero", "--amplitude", "inf"],
+                 ["solve-1d", "--guess", f"file:{good_1d}", "--amplitude", "nan"],
+                 ["solve-2d", "--guess", f"file:{good_2d}", "--amplitude", "inf"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert run(argv[:1] + ["--lambda", "0.25"] + argv[1:]) == 2, argv
@@ -317,30 +325,43 @@ def test_custom_tolerances(tmp_path):
 
 
 def test_cli_import_loads_no_sparse_or_optimize_scipy(tmp_path):
-    # SciPy costs most of a request's start-up time and memory, and every
-    # CLI request pays for its imports: importing the CLI and serving every
-    # request that solves no 1D problem loads none of it, and the 1D LU
-    # step loads scipy.linalg only
+    # SciPy would cost most of a request's start-up time and memory, and
+    # every CLI request pays for its imports: with every scipy import made
+    # to fail, the CLI serves all eight subcommands and attempts none
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = str(tmp_path / "out")
     code = f"""
 import sys
+
+blocked = []
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            blocked.append(name)
+            raise ImportError("scipy is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
 from chebratu.cli import run
-for argv in (["eig-2d", "--n", "8"],
+for argv in (["bifurcation-1d", "--samples", "20"],
+             ["solve-1d", "--lambda", "0.5"],
+             ["stability-1d", "--lambda", "0.5"],
+             ["coeffs", "1d", "--lambda", "0.5"],
+             ["eig-2d", "--n", "8"],
              ["solve-2d", "--lambda", "0.5", "--n", "8", "--guess", "eigenfunction"],
              ["coeffs", "2d", "--lambda", "0.5", "--n", "8"],
              ["symmetry", "--lambda", "0.5", "--n", "8"],
-             ["bifurcation-1d", "--samples", "20"],
              ["bifurcation-2d-approx", "--samples", "20"]):
     assert run(argv + ["--output", {out!r}]) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-assert run(["solve-1d", "--lambda", "0.5", "--output", {out!r}]) == 0
-print("scipy.linalg" in sys.modules, "scipy.fft" in sys.modules)
+print(blocked, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert res.stdout.splitlines() == ["[]", "True False"]
+    assert res.stdout.splitlines() == ["[] []"]
 
 
 _TERMS = {"gelfand": ["--nonlinearity", "gelfand", "--epsilon", "0.1"],
@@ -396,7 +417,7 @@ def test_newton_step_with_overflowing_residual_norm_exits_3(argv, tmp_path, caps
 def test_jacobian_that_overflows_exits_3(command, tmp_path, capsys):
     # lam exp(u / d) is finite at the negative guess, but its derivative, that
     # divided by d**2 < 1, overflows: a Newton failure in both dimensions,
-    # not a matrix the 1D LU step rejects as an invalid request
+    # not a matrix the 1D QR step rejects as an invalid request
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         doc = _run_json([command, "--lambda", "1.7e308", "--nonlinearity", "gelfand",

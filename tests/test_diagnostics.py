@@ -13,6 +13,7 @@ from chebratu import (
     solve_1d,
     symmetry_report,
 )
+from chebratu.diagnostics import _fit_and_plateau
 from chebratu.errors import InvalidArgumentError
 
 
@@ -89,6 +90,19 @@ def test_2d_biquadratic_coefficients(grid16):
     mask[3:, :] = True
     mask[:, 3:] = True
     assert np.max(mags[mask]) <= 1e-14
+
+
+def test_fit_rate_stops_at_an_exactly_zero_coefficient():
+    # log10 of an exact zero is no decay data: the plateau starts there, and
+    # the fit gives the slope the series has with 1e-17 (on its line) there
+    indices = np.arange(0, 35, 2)
+    rates = []
+    for last in (1e-17, 0.0):
+        mags = 10.0 ** (-0.5 * indices)
+        mags[-1] = last
+        rates.append(_fit_and_plateau(indices, mags)[0])
+    assert abs(rates[0] + 0.5) < 1e-12
+    assert abs(rates[1] - rates[0]) < 1e-12
 
 
 def test_zero_field_report(grid16):

@@ -194,8 +194,9 @@ def test_eigenpairs_in_three_axes(n):
     Kronecker matrix: the values its spectrum, ascending, each field an
     eigenvector with unit sup-norm and a positive lead entry.  The ground
     state is even in every axis; the first excited value is triple, its
-    fields odd along one axis each (its three sums of ``w`` add in different
-    orders and round differently, so they agree to rounding only)."""
+    fields odd along one axis each.  Each sum of ``mu`` adds its terms in
+    ascending order, so the three tie exactly and come in index order: odd
+    along x (the fastest axis), then y, then z."""
     m = n - 1
     for half_width in (1.0, np.pi / 2.0):
         res = laplacian(cheb_points(n, half_width), 3).eigenpairs(m**3)
@@ -209,11 +210,10 @@ def test_eigenpairs_in_three_axes(n):
             assert np.max(np.abs(lap @ v + value * v)) < 1e-9 * value
         fields = res.vectors.T.reshape(-1, m, m, m)
         assert np.allclose(np.flip(fields[0], (0, 1, 2)), fields[0], atol=1e-12)
-        assert np.ptp(res.values[1:4]) < 1e-14 * res.values[1] < res.values[4] - res.values[3]
+        assert res.values[1] == res.values[2] == res.values[3] < res.values[4]
         odd = [[np.allclose(np.flip(f, axis), -f, atol=1e-12) for axis in range(3)]
                for f in fields[1:4]]
-        assert sorted(map(tuple, odd)) == [(False, False, True), (False, True, False),
-                                           (True, False, False)]
+        assert odd == [[False, False, True], [False, True, False], [True, False, False]]
 
 
 def test_eig_count_validation(grid16):
