@@ -17,8 +17,6 @@ gelfand pole).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import warnings
@@ -59,6 +57,30 @@ def _guess_file(path: str) -> np.ndarray:
     return data
 
 
+class _NegativeNumber:
+    """Which argv entries starting with ``-`` argparse reads as a value, not
+    as an option: every negative float literal, exponents (``-1e2``) and
+    ``-inf`` included.  Python 3.11's own pattern reads only ``-1`` and
+    ``-1.5`` that way, so ``--amplitude -1e2`` would fail to parse."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return text.startswith("-")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the class of its subparsers, that reads
+    negative numbers by :class:`_NegativeNumber`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber
+
+
 def _add_common(p, *, guesses=None):
     """The flags shared by subcommands.  ``guesses``, the guess names with
     the default first, marks a solve: it adds the lambda, grid, guess,
@@ -90,7 +112,7 @@ def _add_common(p, *, guesses=None):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chebratu",
         description="Chebyshev collocation solvers for Bratu-type problems",
     )
@@ -149,31 +171,33 @@ def _trace_doc(trace) -> dict:
 
 
 def _spectrum(values):
-    """A real spectrum as ``[value, 0.0]`` pairs, and as ``(k, value, 0.0)``
-    rows for the csv and dat tables."""
-    pairs = [[float(v), 0.0] for v in values]
-    return pairs, [(k, *pair) for k, pair in enumerate(pairs)]
+    """A real spectrum as ``[value, 0.0]`` pairs, and as the ``k``, value
+    and ``0.0`` columns of the csv and dat tables."""
+    zeros = np.zeros(len(values))
+    return np.column_stack((values, zeros)), [np.arange(len(values)), values, zeros]
 
 
 # --------------------------------------------------------------------------
 # command handlers: each returns (exit_code, doc, table)
-# table = (comment_lines, column_names, rows) or None for json-only payloads;
+# table = (comment_lines, column_names, columns) or None for json-only payloads,
+# each column a sequence of ints, floats or strings, all of one length;
 # a solve subcommand's handler is _solving(report) with report(args, sol, params)
 # --------------------------------------------------------------------------
 
 
 def _cmd_bifurcation_1d(args):
     curve = bratu1d.bifurcation_curve(args.half_width, args.samples)
+    samples = np.array(curve.samples)
     doc = {
         "params": {"L": args.half_width, "samples": args.samples},
         "fold": {"A": curve.fold[0], "lambda": curve.fold[1]},
-        "samples": [[a, v] for a, v in curve.samples],
+        "samples": samples,
     }
     comments = [
         f"fold: A* = {curve.fold[0]:.16e}  lambda* = {curve.fold[1]:.16e}",
         f"L = {args.half_width}",
     ]
-    return 0, doc, (comments, ["A", "lambda"], curve.samples)
+    return 0, doc, (comments, ["A", "lambda"], list(samples.T))
 
 
 def _cmd_bifurcation_2d_approx(args):
@@ -185,10 +209,10 @@ def _cmd_bifurcation_2d_approx(args):
     doc = {
         "params": {"samples": args.samples},
         "peak": {"A": peak_a, "lambda": pde2d.onepoint_lambda(peak_a)},
-        "samples": [[float(a), float(v)] for a, v in zip(amps, lams)],
+        "samples": np.column_stack((amps, lams)),
     }
     comments = [f"one-point diagram peak: A = {peak_a:.16e} lambda = {doc['peak']['lambda']:.16e}"]
-    return 0, doc, (comments, ["A", "lambda"], doc["samples"])
+    return 0, doc, (comments, ["A", "lambda"], [amps, lams])
 
 
 def _solving(report):
@@ -238,7 +262,7 @@ def _cmd_solve(args, sol, params):
             "u_max": sol.u_max,
             "center_value": sol.center_value(),
             "branch": sol.branch,
-            "grid_values": np.atleast_2d(sol.values).tolist(),
+            "grid_values": np.atleast_2d(sol.values),
         },
         "newton": _trace_doc(sol.trace),
         "diagnostics": {
@@ -248,16 +272,15 @@ def _cmd_solve(args, sol, params):
         },
     }
     # one row per grid point, x varying fastest: (x, u) or (x, y, u[iy, ix])
-    coords = [c.ravel().tolist() for c in np.meshgrid(*[sol.grid.points] * dim)]
-    rows = list(zip(*coords, sol.values.ravel().tolist()))
+    coords = [c.ravel() for c in np.meshgrid(*[sol.grid.points] * dim)]
     label = f"branch = {sol.branch}" if dim == 1 else f"nonlinearity = {args.nonlinearity}"
     comments = [f"lambda = {args.lam}  {label}"]
-    return 0, doc, (comments, ["x", "y"][:dim] + ["u"], rows)
+    return 0, doc, (comments, ["x", "y"][:dim] + ["u"], [*coords, sol.values.ravel()])
 
 
 def _cmd_stability_1d(args, sol, params):
     stable, mu_min, spectrum = bratu1d.stability_1d(sol)
-    eigs, rows = _spectrum(spectrum.values)
+    eigs, columns = _spectrum(spectrum.values)
     doc = {
         "params": params,
         "solution": {
@@ -269,23 +292,23 @@ def _cmd_stability_1d(args, sol, params):
         "newton": _trace_doc(sol.trace),
     }
     comments = [f"stable = {stable}  mu_min = {mu_min:.16e}"]
-    return 0, doc, (comments, ["k", "mu_real", "mu_imag"], rows)
+    return 0, doc, (comments, ["k", "mu_real", "mu_imag"], columns)
 
 
 def _cmd_eig_2d(args):
     grid = cheb_points(args.n, args.half_width)
-    eigs, rows = _spectrum(laplacian(grid, 2).eigenpairs(args.samples).values)
+    eigs, columns = _spectrum(laplacian(grid, 2).eigenpairs(args.samples).values)
     doc = {
         "params": {"L": args.half_width, "n": args.n, "count": args.samples},
         "eigenvalues": eigs,
     }
-    return 0, doc, ([], ["k", "eig_real", "eig_imag"], rows)
+    return 0, doc, ([], ["k", "eig_real", "eig_imag"], columns)
 
 
 def _cmd_coeffs(args, sol, params):
     rep = diagnostics.decay_report(sol.grid, sol.values.T)
-    rows = [(*idx, float(v)) for idx, v in np.ndenumerate(rep.coeffs)]
-    columns = ["k", "l"][:rep.coeffs.ndim] + ["abs_coeff"]
+    # one row per coefficient, the last index varying fastest
+    indices = [i.ravel() for i in np.indices(rep.coeffs.shape)]
     doc = {
         "params": params,
         "decay": {
@@ -294,10 +317,11 @@ def _cmd_coeffs(args, sol, params):
             "fit_rate": rep.fit_rate,
             "plateau": rep.plateau,
         },
-        "coefficients": rep.coeffs.tolist(),
+        "coefficients": rep.coeffs,
         "newton": _trace_doc(sol.trace),
     }
-    return 0, doc, ([], columns, rows)
+    columns = ["k", "l"][:rep.coeffs.ndim] + ["abs_coeff"]
+    return 0, doc, ([], columns, [*indices, rep.coeffs.ravel()])
 
 
 def _cmd_symmetry(args, sol, params):
@@ -308,8 +332,8 @@ def _cmd_symmetry(args, sol, params):
         "symmetry": devs,
         "newton": _trace_doc(sol.trace),
     }
-    rows = [(key.removesuffix("_dev"), dev) for key, dev in devs.items()]
-    return 0, doc, ([], ["symmetry", "deviation"], rows)
+    names = [key.removesuffix("_dev") for key in devs]
+    return 0, doc, ([], ["symmetry", "deviation"], [names, list(devs.values())])
 
 
 _HANDLERS = {
@@ -324,30 +348,66 @@ _HANDLERS = {
 }
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".16e")
+# the cell format of a table column, by numpy dtype kind; any other is "%s"
+_CELL = {"i": "%d", "u": "%d", "f": "%.16e"}
+
+
+def _table_text(header: str, columns, sep: str) -> str:
+    """``header``, then one line per row of ``columns``: the cells in
+    ``_CELL`` format, joined by ``sep``."""
+    columns = [np.asarray(c) for c in columns]
+    line = sep.join(_CELL.get(c.dtype.kind, "%s") for c in columns) + "\n"
+    rows = len(columns[0])
+    cells = [None] * (rows * len(columns))
+    for j, c in enumerate(columns):
+        cells[j::len(columns)] = c.tolist()
+    return header + (line * rows) % tuple(cells)
+
+
+def _array_text(values: list, indent: str) -> str:
+    """The nonempty nested list of floats ``values`` as ``json.dumps`` with
+    ``indent=2`` writes it on a line indented by ``indent``."""
+    inner = indent + "  "
+    if isinstance(values[0], list):
+        items = [_array_text(v, inner) for v in values]
+    else:
+        items = map(float.__repr__, values)
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)`` with every ndarray written as its
+    ``tolist()``.  The encoder that indents is pure Python, so each
+    nonempty all-finite float array goes in as a placeholder and is
+    written by :func:`_array_text` in its place."""
+    arrays = []
+
+    def placeholder(a):
+        if a.dtype.kind != "f" or a.size == 0 or not np.isfinite(a).all():
+            return a.tolist()
+        arrays.append(a)
+        return f"\0{len(arrays) - 1}"
+
+    text = json.dumps(doc, indent=2, default=placeholder)
+    marks = [f'"\\u0000{k}"' for k in range(len(arrays))]
+    if any(text.count(mark) != 1 for mark in marks):  # a string of the doc looks like one
+        return json.dumps(doc, indent=2, default=np.ndarray.tolist)
+    for mark, a in zip(marks, arrays):
+        start = text.index(mark)
+        line = text[text.rfind("\n", 0, start) + 1:start]
+        indent = line[:len(line) - len(line.lstrip(" "))]
+        text = text[:start] + _array_text(a.tolist(), indent) + text[start + len(mark):]
+    return text
 
 
 def _render(doc, table, fmt: str) -> str:
     if fmt == "json" or table is None:
-        return json.dumps(doc, indent=2) + "\n"
-    comments, columns, rows = table
+        return _json_text(doc) + "\n"
+    comments, names, columns = table
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-        return buf.getvalue()
-    lines = [f"# {c}" for c in comments]
-    lines.append("# " + "  ".join(columns))
-    for row in rows:
-        lines.append("  ".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+        return _table_text(",".join(names) + "\n", columns, ",")
+    header = "".join(f"# {c}\n" for c in [*comments, "  ".join(names)])
+    return _table_text(header, columns, "  ")
 
 
 def _write(text: str, path: str | None) -> None:

@@ -23,13 +23,13 @@ dimensions (the 1D solve, stability and coefficient subcommands with each
 term from both guesses); both branches; the eigenfunction guess in both
 dimensions; ``file:`` guesses in both dimensions, among them an empty and
 a NaN one; the exit-2 and exit-3 requests of ``tests/test_cli.py``; a
-gelfand pole (exit 4); a negative ``--lambda``, ``--n 3``, ``--epsilon``
-with a term other than gelfand, an ``--L`` whose square overflows or is
-subnormal, one whose ``D2`` overflows and one whose closed-form ``lam``
-underflows; a residual whose 2-norm overflows; a guess amplitude of
-1e308 for every term but exp, and a gelfand Jacobian that overflows; the
-whole spectrum of the smallest grid; and the help text of the program and
-of each subcommand.
+gelfand pole (exit 4); a negative ``--lambda`` and one of -0.0 in every
+format; ``--n 3``, ``--epsilon`` with a term other than gelfand, an
+``--L`` whose square overflows or is subnormal, one whose ``D2``
+overflows and one whose closed-form ``lam`` underflows; a residual whose
+2-norm overflows; a guess amplitude of 1e308 for every term but exp, and
+a gelfand Jacobian that overflows; the whole spectrum of the smallest
+grid; and the help text of the program and of each subcommand.
 Guess files are written to a temporary directory shared by both runs, so
 their paths, which the outputs record, agree.  pytest does not collect
 this file.
@@ -138,6 +138,9 @@ def requests(tmp: Path) -> list[list[str]]:
             reqs.append(["solve-2d", "--lambda", "1.2", "--n", n, "--guess", "eigenfunction",
                          "--amplitude", "0.3", "--L", "0.8", *f])
         reqs.append(["solve-2d", "--lambda", "0.5", "--n", "32", *f])
+        # a negative zero, which params and the dat comment line record as -0.0
+        for argv in (["solve-1d"], ["solve-2d"], ["coeffs", "2d"]):
+            reqs.append([*argv, "--lambda=-0.0", *f])
         reqs.append(["solve-2d", "--lambda", "0.5", "--n", "32", "--guess", "onepoint",
                      "--amplitude", "5.5", *f])
         reqs.append(["coeffs", "2d", "--lambda", "0.5", "--n", "32", *f])

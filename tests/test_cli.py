@@ -222,6 +222,25 @@ def test_argparse_failures_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["-1e2", "-1E-3", "-.5e1", "-inf"])
+@pytest.mark.parametrize("base, option", [
+    (["solve-1d", "--lambda", "0.5", "--guess", "onepoint"], "--amplitude"),
+    (["solve-2d", "--n", "8", "--guess", "onepoint"], "--amplitude"),
+    (["solve-1d"], "--lambda"),
+    (["solve-1d", "--lambda", "0.5"], "--L"),
+    (["bifurcation-1d", "--samples", "4"], "--L"),
+])
+def test_negative_number_as_its_own_argv_entry(base, option, value, capsys):
+    """A negative value in exponent notation, or -inf, after its option as
+    a separate argv entry is read as that option's value, as in the
+    ``--option=value`` form, not as an unknown option."""
+    outcomes = []
+    for argv in ([*base, option, value], [*base, f"{option}={value}"]):
+        outcomes.append((run(argv), *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert "expected one argument" not in outcomes[0][2]
+
+
 def test_stability_1d(tmp_path):
     doc = _run_json(["stability-1d", "--lambda", "0.25", "--n", "32"], tmp_path)
     assert doc["stability"]["stable"] is True
