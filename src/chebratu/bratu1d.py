@@ -55,11 +55,12 @@ __all__ = [
 class BifurcationCurve:
     """Sampled closed-form curve ``(A, lam(A))`` with its fold.
 
-    ``samples`` is a list of ``(amplitude, lam)`` pairs with amplitudes
-    increasing; ``fold`` is the critical point ``(A*, lam*)``.
+    ``amplitudes`` are increasing and ``lams`` are their ``lam(A)``;
+    ``fold`` is the critical point ``(A*, lam*)``.
     """
 
-    samples: list[tuple[float, float]]
+    amplitudes: np.ndarray
+    lams: np.ndarray
     fold: tuple[float, float]
 
 
@@ -196,11 +197,7 @@ def bifurcation_curve(half_width: float = 1.0, samples: int = 400) -> Bifurcatio
     fold = critical_point(L)
     a_max = fold[0] + 6.0
     amps = a_max * np.arange(1, samples + 1) / samples
-    lams = lambda_of_amplitude(amps, L)
-    return BifurcationCurve(
-        samples=[(float(a), float(v)) for a, v in zip(amps, lams)],
-        fold=fold,
-    )
+    return BifurcationCurve(amplitudes=amps, lams=lambda_of_amplitude(amps, L), fold=fold)
 
 
 _EXP = make_nonlinearity("exp")

@@ -20,11 +20,11 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
-from .chebyshev import Grid1D, _readonly, barycentric_resample, cheb_points, second_diff_matrix
+from .chebyshev import Grid1D, _readonly, barycentric_resample, second_diff_matrix
 from .errors import (
     DivergenceError,
     InvalidArgumentError,
@@ -53,8 +53,6 @@ __all__ = [
 _ORDER_FLOOR = 1e-14
 # an iteration also stops once the sup-norm of the post-step residual is here
 _TOL_RESIDUAL = 1e-10
-# the interior Laplacians kept for reuse, one per (n, half-width, ndim)
-_LAPLACIAN_CACHE = 16
 
 
 @dataclass(frozen=True)
@@ -274,8 +272,7 @@ class Laplacian:
     dividing by ``c - (mu_i + mu_j + ...)`` and applying ``V`` along every
     axis.  Each part is computed on first use: a 1D solve factors ``D2``
     only for the eigenfunction guess and never inverts ``V``, which only
-    the GMRES preconditioner reads.  Every part is read-only, so that one
-    operator can serve any number of solves (see :func:`laplacian`).
+    the GMRES preconditioner reads.
     """
 
     d2: np.ndarray
@@ -295,12 +292,11 @@ class Laplacian:
             Chebyshev collocation).
         """
         eig = eig_general(self.d2)
-        values, vectors = -eig.values[::-1], eig.vectors[:, ::-1]
-        return EigenResult(values=_frozen(values), vectors=_frozen(vectors))
+        return EigenResult(values=-eig.values[::-1], vectors=eig.vectors[:, ::-1])
 
     @cached_property
     def _inverse(self) -> np.ndarray:
-        return _frozen(np.linalg.inv(self._eig.vectors))
+        return np.linalg.inv(self._eig.vectors)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -308,7 +304,7 @@ class Laplacian:
         each sum taken in ascending order of its terms, so that the index
         tuples of one multiset of indices tie exactly."""
         terms = np.meshgrid(*[self._eig.values] * self.ndim, indexing="ij")
-        return _frozen(reduce(np.add, np.sort(terms, axis=0)).reshape(-1))
+        return reduce(np.add, np.sort(terms, axis=0)).reshape(-1)
 
     def _fields(self, index) -> np.ndarray:
         """The eigenfields of the index tuples ``zip(*index)`` (slowest axis
@@ -365,31 +361,14 @@ class Laplacian:
                      lambda r: self.shifted_inverse(c, r))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` itself, marked read-only: a contiguous copy could change the
-    summation order of the products that read it, and so their bits."""
-    a.flags.writeable = False
-    return a
-
-
 def laplacian(grid: Grid1D, ndim: int) -> Laplacian:
     """The interior Laplacian of the ``ndim``-axis tensor grid of ``grid``,
     which must have order at least 3.  Its ``d2`` is :func:`second_diff_matrix`
     without the first and last rows and columns (homogeneous Dirichlet
-    conditions), as a contiguous read-only copy.
-
-    The operator is shared: calls with the same grid order, half-width and
-    ``ndim`` return one object, from a cache of the last 16 such operators,
-    so each grid's ``D2`` is factored at most once while it stays there."""
+    conditions), as a contiguous read-only copy."""
     if grid.n < 3:
         raise InvalidArgumentError(f"grid order must be at least 3, got {grid.n}")
-    return _laplacian(grid.n, grid.half_width, ndim)
-
-
-@lru_cache(maxsize=_LAPLACIAN_CACHE)
-def _laplacian(n: int, half_width: float, ndim: int) -> Laplacian:
-    d2 = second_diff_matrix(cheb_points(n, half_width))[1:-1, 1:-1]
-    return Laplacian(d2=_readonly(d2), ndim=ndim)
+    return Laplacian(d2=_readonly(second_diff_matrix(grid)[1:-1, 1:-1]), ndim=ndim)
 
 
 @dataclass(frozen=True)

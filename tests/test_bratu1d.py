@@ -193,9 +193,8 @@ def test_branch_amplitudes_errors():
 
 def test_bifurcation_curve_shape():
     curve = bifurcation_curve(1.0, samples=200)
-    amps = np.array([a for a, _ in curve.samples])
-    lams = np.array([v for _, v in curve.samples])
-    assert len(curve.samples) == 200
+    amps, lams = curve.amplitudes, curve.lams
+    assert amps.shape == lams.shape == (200,)
     assert np.all(np.diff(amps) > 0)
     a_star, lam_star = curve.fold
     assert abs(a_star - A_STAR) < 1e-10
@@ -203,7 +202,7 @@ def test_bifurcation_curve_shape():
     falling = lams[amps > a_star]
     assert np.all(np.diff(rising) > 0)
     assert np.all(np.diff(falling) < 0)
-    for A, lam in curve.samples[::19]:
+    for A, lam in zip(amps[::19].tolist(), lams[::19].tolist()):
         ratio = math.exp(A / 2.0) / math.cosh(math.sqrt(lam * math.exp(A) / 2.0))
         assert abs(ratio - 1.0) < 1e-12
     with pytest.raises(InvalidArgumentError):

@@ -277,9 +277,7 @@ def test_onepoint_guess(grid16):
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """The matrix sizes of every ``eig_general`` call the operator makes,
-    from an empty operator cache, so that no earlier test has factored
-    a grid already."""
+    """The matrix sizes of every ``eig_general`` call the operator makes."""
     calls = []
     eig = chebratu.newton.eig_general
 
@@ -287,17 +285,7 @@ def eig_calls(monkeypatch):
         calls.append(args[0].shape)
         return eig(*args, **kwargs)
 
-    chebratu.newton._laplacian.cache_clear()
     monkeypatch.setattr(chebratu.newton, "eig_general", counting)
-    return calls
-
-
-@pytest.fixture
-def inv_calls(monkeypatch):
-    """The matrix sizes of every ``np.linalg.inv`` call."""
-    calls = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
     return calls
 
 
@@ -310,85 +298,34 @@ def test_1d_solve_never_factors_d2(exp_nl, eig_calls, guess):
     assert eig_calls == []
 
 
-def test_eigenfunction_guess_solve_factors_d2_once(grid16, exp_nl, eig_calls, inv_calls):
+def test_eigenfunction_guess_solve_factors_d2_once(grid16, exp_nl, eig_calls, monkeypatch):
     """The eigenfunction guess takes its ground state from the solve's own
-    fast diagonalization, which every GMRES step reuses, and so do later
-    solves on the same grid: one eig and one inverse of D2 per grid, order,
-    half-width and dimension in a process, whatever the guess.  A 1D
-    eigenfunction solve factors D2 but never inverts the eigenvectors
-    (only the preconditioner does)."""
+    fast diagonalization, which every GMRES step reuses: one eig of D2
+    per 2D solve, whatever the guess, and per 1D eigenfunction solve,
+    which never inverts the eigenvectors (only the preconditioner does)."""
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
     for guess, amplitude in (("eigenfunction", 0.1), ("onepoint", 1.0), ("zero", None)):
-        sol = solve(0.5, exp_nl, grid16, 2, guess, amplitude)
-        assert abs(sol.u_max - UMAX_SMALL_N16) < 1e-9
-        assert eig_calls == [(15, 15)] and inv_calls == [(15, 15)], guess
-    # a new order, half-width or dimension is a new operator, factored once
-    for grid, ndim, size in ((cheb_points(12, 1.0), 2, (11, 11)),
-                             (cheb_points(16, 0.5), 2, (15, 15)),
-                             (grid16, 3, (15, 15))):
         eig_calls.clear()
-        inv_calls.clear()
-        for _ in range(2):
-            assert solve(0.2, exp_nl, grid, ndim, "eigenfunction").trace.converged
-        assert eig_calls == [size] and inv_calls == [size], (grid.n, grid.half_width, ndim)
+        sol = solve(0.5, exp_nl, grid16, 2, guess, amplitude)
+        assert eig_calls == [(15, 15)] and inverted == [(15, 15)], guess
+        assert abs(sol.u_max - UMAX_SMALL_N16) < 1e-9
+        inverted.clear()
     eig_calls.clear()
-    inv_calls.clear()
-    for _ in range(2):
-        sol = solve(0.25, exp_nl, cheb_points(32, 1.0), 1, "eigenfunction")
-        assert sol.trace.converged and sol.trace.linear_iterations == [1] * sol.trace.iterations
-    assert eig_calls == [(31, 31)] and inv_calls == []
+    sol = solve(0.25, exp_nl, cheb_points(32, 1.0), 1, "eigenfunction")
+    assert sol.trace.converged and sol.trace.linear_iterations == [1] * sol.trace.iterations
+    assert eig_calls == [(31, 31)] and inverted == []
 
 
 def test_eigenpairs_factors_d2_once(grid16, eig_calls):
     op = laplacian(grid16, 2)
     op.eigenpairs(10)
     assert eig_calls == [(15, 15)]
-    # the guess, a second request and a second operator on the same grid
-    # read the same decomposition
+    # the guess and a second request read the same decomposition
     initial_guess(grid16, op, "eigenfunction")
     op.eigenpairs(3)
-    assert laplacian(cheb_points(16, 1.0), 2) is op
-    laplacian(grid16, 2).eigenpairs(5)
     assert eig_calls == [(15, 15)]
-
-
-def test_operator_cache_is_bounded(grid16, eig_calls):
-    """Past the cache size the least recently used operator is dropped and
-    factored again when it is asked for."""
-    op = laplacian(grid16, 2)
-    op.eigenpairs(1)
-    for n in range(3, 3 + chebratu.newton._LAPLACIAN_CACHE):
-        laplacian(cheb_points(n, 1.0), 1)
-    assert laplacian(grid16, 2) is not op
-    laplacian(grid16, 2).eigenpairs(1)
-    assert eig_calls == [(15, 15)] * 2
-
-
-@pytest.mark.parametrize("ndim", [1, 2, 3])
-def test_cached_operator_arrays_are_read_only(ndim):
-    op = laplacian(cheb_points(8, 1.0), ndim)
-    op.shifted_inverse(1.0, np.ones(7**ndim))
-    for a in (op.d2, op._eig.values, op._eig.vectors, op._inverse, op._spectrum):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            a += 0.0
-
-
-@pytest.mark.parametrize("ndim, guess, amplitude", [(1, "eigenfunction", 0.1),
-                                                    (2, "eigenfunction", 0.1),
-                                                    (2, "onepoint", 5.5),
-                                                    (3, "eigenfunction", 0.1)])
-def test_cold_and_warm_cache_solves_are_bit_identical(exp_nl, ndim, guess, amplitude):
-    """A solve that factors its grid and one that reuses the factors give
-    the same bits."""
-    grid = cheb_points(12 if ndim == 3 else 16, 1.0)
-    chebratu.newton._laplacian.cache_clear()
-    cold = solve(0.5, exp_nl, grid, ndim, guess, amplitude)
-    op = laplacian(grid, ndim)
-    warm = solve(0.5, exp_nl, grid, ndim, guess, amplitude)
-    assert laplacian(grid, ndim) is op
-    assert cold.values.tobytes() == warm.values.tobytes()
-    assert cold.trace == warm.trace
 
 
 # ---------------------------------------------------------------------------
