@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# a coefficient at or below this multiple of the largest is rounding noise
+_NOISE_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -62,17 +64,19 @@ def _fit_and_plateau(indices: np.ndarray, mags: np.ndarray):
     """Slope of the pre-plateau decay and the plateau level.
 
     The plateau starts where a forward-looking 5-point moving maximum of
-    ``log10 |a|`` stops decreasing by at least 0.1 per index, or at an
-    exact zero if that comes first (its logarithm carries no decay rate);
-    the first two entries are excluded (low-order coefficients carry no
-    decay information).
+    ``log10 |a|`` stops decreasing by at least 0.1 per index, or at the
+    first coefficient at or below ``1e-13`` times the largest if that comes
+    first (an exact zero among them): at rounding level a coefficient's
+    logarithm carries no decay rate.  The first two entries are excluded
+    (low-order coefficients carry no decay information).
     """
     levels = np.log10(np.maximum(mags, _TINY))
     moving = np.array([levels[i: i + 5].max() for i in range(len(levels))])
+    noise = _NOISE_RTOL * mags.max()
     start = len(indices)
     for i in range(2, len(indices)):
         step = indices[i] - indices[i - 1]
-        if mags[i] == 0.0 or moving[i] - moving[i - 1] > -0.1 * step:
+        if mags[i] <= noise or moving[i] - moving[i - 1] > -0.1 * step:
             start = i
             break
     plateau = float(mags[start:].max()) if start < len(indices) else float(mags[-1])

@@ -15,6 +15,12 @@ axes), one starting field (:func:`initial_guess`), one Newton solve
 one result (:class:`Solution`).  The dimension only picks how the Newton
 steps are solved: by Householder QR in 1D, by preconditioned GMRES
 otherwise.
+
+Every named guess is even in each variable, and on the symmetric domain
+so is every Newton iterate from it, so a solve from a name works on the
+even half of each axis: the operator folded by :func:`_fold`,
+``ceil((n-1)/2)`` unknowns per axis, mirrored back by :func:`_unfold`.  An
+array guess, which need not be even, keeps the whole interior.
 """
 
 from __future__ import annotations
@@ -258,7 +264,9 @@ class Laplacian:
     """The Dirichlet Laplacian on the interior of an ``ndim``-axis tensor
     grid, matrix-free, and the owner of its spectrum.
 
-    ``d2`` is the ``M x M`` interior second-derivative block, ``M = n - 1``.
+    ``d2`` is the ``M x M`` interior second-derivative block, ``M = n - 1``,
+    or its even half (:func:`_fold`, ``M = ceil((n - 1) / 2)``), which acts
+    on fields even in every variable and has their part of the spectrum.
     Methods take and return interior vectors of length ``M**ndim``, the
     row-major flattening of the field ``U[..., iy, ix]``, so x is the
     fastest index: in 2D entry ``k = iy * M + ix`` and ``Lap U = D2 U +
@@ -302,8 +310,12 @@ class Laplacian:
     def _spectrum(self) -> np.ndarray:
         """``mu_i + mu_j + ...`` over every index tuple, flattened x-fastest,
         each sum taken in ascending order of its terms, so that the index
-        tuples of one multiset of indices tie exactly."""
-        terms = np.meshgrid(*[self._eig.values] * self.ndim, indexing="ij")
+        tuples of one multiset of indices tie exactly (two terms commute
+        exactly, so only three or more axes need the sort)."""
+        mu = self._eig.values
+        if self.ndim <= 2:
+            return reduce(np.add.outer, [mu] * self.ndim).reshape(-1)
+        terms = np.meshgrid(*[mu] * self.ndim, indexing="ij")
         return reduce(np.add, np.sort(terms, axis=0)).reshape(-1)
 
     def _fields(self, index) -> np.ndarray:
@@ -371,6 +383,28 @@ def laplacian(grid: Grid1D, ndim: int) -> Laplacian:
     return Laplacian(d2=_readonly(second_diff_matrix(grid)[1:-1, 1:-1]), ndim=ndim)
 
 
+def _fold(d2) -> np.ndarray:
+    """The ``m x m`` interior ``D2`` acting on even fields, as a map of their
+    first ``ceil(m/2)`` values: those rows of ``D2``, with each column of the
+    mirrored half added to its partner (an odd ``m``'s centre column, its
+    own mirror, counted once)."""
+    m = len(d2)
+    half, paired = (m + 1) // 2, m // 2
+    folded = d2[:half, :half].copy()
+    folded[:, :paired] += d2[:half, ::-1][:, :paired]
+    return _readonly(folded)
+
+
+def _unfold(u, m: int) -> np.ndarray:
+    """The even field of ``m`` points per axis whose first ``ceil(m/2)``
+    along every axis are ``u``."""
+    paired = m // 2
+    for axis in range(u.ndim):
+        mirror = np.flip(u.take(range(paired), axis=axis), axis=axis)
+        u = np.concatenate((u, mirror), axis=axis)
+    return u
+
+
 @dataclass(frozen=True)
 class Solution:
     """A converged collocation solution in any number of dimensions.
@@ -405,10 +439,14 @@ class Solution:
 
 def initial_guess(grid: Grid1D, operator: Laplacian, guess,
                   amplitude: float | None = None) -> np.ndarray:
-    """Interior starting field, shape ``(n - 1,) * operator.ndim``, of a
-    solve on ``grid`` with the interior Laplacian ``operator``.
+    """Interior starting field of a solve on ``grid`` with the interior
+    Laplacian ``operator``.
 
-    ``guess`` is an array of full-grid or interior shape, or a name:
+    ``guess`` is an array of full-grid or interior shape, which gives a
+    field of shape ``(n - 1,) * operator.ndim``, or a name, which gives one
+    of shape ``(m,) * operator.ndim`` on the first ``m = len(operator.d2)``
+    interior points of each axis (all of them, or the even half that a
+    folded operator acts on):
 
     * ``"zero"``, the zero field;
     * ``"onepoint"``, the lowest polynomial basis function, ``amplitude``
@@ -427,6 +465,7 @@ def initial_guess(grid: Grid1D, operator: Laplacian, guess,
     """
     ndim = operator.ndim
     shape = (grid.n - 1,) * ndim
+    m = len(operator.d2)
     if amplitude is not None and not np.isfinite(amplitude):
         raise InvalidArgumentError("guess amplitude must be finite")
     if not isinstance(guess, str):
@@ -442,16 +481,16 @@ def initial_guess(grid: Grid1D, operator: Laplacian, guess,
             f"shape {shape}, got {u.shape}"
         )
     if guess == "zero":
-        return np.zeros(shape)
+        return np.zeros((m,) * ndim)
     if guess == "onepoint":
         amplitude = 6.0 if amplitude is None else amplitude
-        factor = 1.0 - (grid.points[1:-1] / grid.half_width) ** 2
+        factor = 1.0 - (grid.points[1:m + 1] / grid.half_width) ** 2
         return amplitude * reduce(np.multiply.outer, [factor] * ndim)
     if guess == "eigenfunction":
         amplitude = 0.1 if amplitude is None else amplitude
         if amplitude <= 0.0:
             raise InvalidArgumentError("guess amplitude must be positive")
-        field = operator._fields([0] * ndim).reshape(shape)
+        field = operator._fields([0] * ndim).reshape((m,) * ndim)
         return field * (amplitude / field.max())
     raise InvalidArgumentError(f"unknown {ndim}D guess {guess!r}")
 
@@ -466,15 +505,21 @@ def solve(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, ndim: int, guess
     :func:`laplacian` (Dirichlet conditions already imposed); each Newton
     step solves ``Lap + diag(lam f'(u))`` by
     :meth:`Laplacian.solve_shifted`.  The iteration starts from
-    :func:`initial_guess` of ``guess`` and ``amplitude``.  Returns a
-    :class:`Solution` labelled "unknown".  For ``lam`` beyond the fold of
-    the diagram the iteration fails (in 2D a GMRES solve that stalls
-    reports a singular Jacobian) and the Newton error of
-    :func:`newton_kantorovich` propagates with its trace.
+    :func:`initial_guess` of ``guess`` and ``amplitude``.  A named guess is
+    even in every variable, and so is each Newton iterate from it, so the
+    iteration then runs on the even half of each axis (the operator that
+    :func:`_fold` makes) and mirrors its result back: the values are
+    exactly even.  Returns a :class:`Solution` labelled "unknown".  For
+    ``lam`` beyond the fold of the diagram the iteration fails (in 2D a
+    GMRES solve that stalls reports a singular Jacobian) and the Newton
+    error of :func:`newton_kantorovich` propagates with its trace.
     """
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidArgumentError(f"lam must be finite and nonnegative, got {lam!r}")
     operator = laplacian(grid, ndim)
+    even = isinstance(guess, str)
+    if even:
+        operator = Laplacian(_fold(operator.d2), ndim)
     u0 = initial_guess(grid, operator, guess, amplitude)
 
     def residual(u):
@@ -482,7 +527,10 @@ def solve(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, ndim: int, guess
 
     u, trace = newton_kantorovich(residual, partial(nonlinearity.derivative, lam),
                                   np.ravel(u0), config, solve=operator.solve_shifted)
-    return Solution(grid=grid, values=np.pad(u.reshape(np.shape(u0)), 1), lam=float(lam),
+    u = u.reshape(np.shape(u0))
+    if even:
+        u = _unfold(u, grid.n - 1)
+    return Solution(grid=grid, values=np.pad(u, 1), lam=float(lam),
                     nonlinearity=nonlinearity, branch="unknown", trace=trace)
 
 

@@ -12,6 +12,7 @@ eigendecomposition is real and treats a complex spectrum as a failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,48 +129,54 @@ def gmres(apply, b, precondition):
     if not np.all(np.isfinite(b)):
         raise InvalidArgumentError("right-hand side entries must be finite")
     x = np.zeros_like(b)
-    bnorm = np.linalg.norm(b)
-    if not np.isfinite(bnorm):
+    bnorm = math.sqrt(b @ b)
+    if not math.isfinite(bnorm):
         raise SingularMatrixError("GMRES cannot scale a right-hand side whose 2-norm overflows")
     r, done = b, 0
     while bnorm > 0.0:
-        beta = np.linalg.norm(r)
-        if done >= _GMRES_MAXITER or not np.isfinite(beta):
+        beta = math.sqrt(r @ r)
+        if done >= _GMRES_MAXITER or not math.isfinite(beta):
             raise SingularMatrixError(
                 f"matrix is singular to working precision (GMRES residual above "
                 f"{_GMRES_RTOL} * ||b|| after {done} iterations)"
             )
-        q = np.empty((_GMRES_RESTART + 1, b.size))
-        h = np.zeros((_GMRES_RESTART + 1, _GMRES_RESTART))
-        rot = np.zeros((_GMRES_RESTART, 2))
-        g = np.zeros(_GMRES_RESTART + 1)
-        q[0], g[0] = r / beta, beta
-        for j in range(min(_GMRES_RESTART, _GMRES_MAXITER - done)):
+        steps = min(_GMRES_RESTART, _GMRES_MAXITER - done)
+        q = np.empty((steps + 1, b.size))
+        # the rotated Hessenberg matrix, upper triangular; the rotations and
+        # the rotated right-hand side g are Python floats
+        h = np.zeros((steps, steps))
+        rot, g = [], [beta]
+        q[0] = r / beta
+        for j in range(steps):
             w = apply(precondition(q[j]))
+            column = np.zeros(j + 1)
             for _ in range(2):
                 c = q[:j + 1] @ w
                 w = w - c @ q[:j + 1]
-                h[:j + 1, j] += c
-            h[j + 1, j] = np.linalg.norm(w)
-            for i, (cs, sn) in enumerate(rot[:j]):
-                a, e = h[i, j], h[i + 1, j]
-                h[i, j], h[i + 1, j] = cs * a + sn * e, cs * e - sn * a
-            rho = np.hypot(h[j, j], h[j + 1, j])
-            if not (np.isfinite(rho) and rho > 0.0):
+                column += c
+            wnorm = math.sqrt(w @ w)
+            column = column.tolist() + [wnorm]
+            for i, (cs, sn) in enumerate(rot):
+                a, e = column[i], column[i + 1]
+                column[i], column[i + 1] = cs * a + sn * e, cs * e - sn * a
+            rho = float(np.hypot(column[j], column[j + 1]))
+            if not (math.isfinite(rho) and rho > 0.0):
                 raise SingularMatrixError(
                     "matrix is singular to working precision (GMRES breakdown)"
                 )
-            rot[j] = h[j, j] / rho, h[j + 1, j] / rho
-            h[j, j], g[j + 1], g[j] = rho, -rot[j, 1] * g[j], rot[j, 0] * g[j]
+            cs, sn = column[j] / rho, column[j + 1] / rho
+            rot.append((cs, sn))
+            column[j] = rho
+            h[:j + 1, j] = column[:j + 1]
+            g[j:] = cs * g[j], -sn * g[j]
             done += 1
             if abs(g[j + 1]) <= _GMRES_RTOL * bnorm:
                 break
-            q[j + 1] = w / h[j + 1, j]
+            q[j + 1] = w / wnorm
         y = _back_substitute(h[:j + 1, :j + 1], g[:j + 1])
         x = x + precondition(y @ q[:j + 1])
         r = b - apply(x)
-        if (abs(g[j + 1]) <= _GMRES_RTOL * bnorm
-                and np.linalg.norm(r) <= _GMRES_CHECK_RTOL * bnorm):
+        if abs(g[j + 1]) <= _GMRES_RTOL * bnorm and math.sqrt(r @ r) <= _GMRES_CHECK_RTOL * bnorm:
             break
     return x, done
 

@@ -105,6 +105,26 @@ def test_fit_rate_stops_at_an_exactly_zero_coefficient():
     assert abs(rates[1] - rates[0]) < 1e-12
 
 
+def test_fit_rate_stops_at_rounding_noise():
+    """The plateau starts at the first coefficient at or below 1e-13 of the
+    largest at the latest: noise under that level leaves the fitted slope
+    as it is, and so does a 1e-15 relative change in a solution's values,
+    which moved the slope fitted to its 1e-17 coefficients by up to 0.1."""
+    indices = np.arange(0, 35, 2)
+    mags = 10.0 ** (-0.5 * indices)
+    noisy = mags.copy()
+    noisy[indices >= 28] = [3e-14, 2e-15, 5e-14, 1e-16]
+    assert abs(_fit_and_plateau(indices, noisy)[0] + 0.5) < 1e-12
+    nl = make_nonlinearity("exp")
+    rng = np.random.default_rng(11)
+    for lam, n in ((0.1, 16), (0.1, 32), (0.25, 48)):
+        sol = solve_1d(lam, nl, cheb_points(n, 1.0))
+        rate = decay_report(sol.grid, sol.values).fit_rate
+        for _ in range(10):
+            values = sol.values * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, n + 1))
+            assert abs(decay_report(sol.grid, values).fit_rate - rate) < 1e-4, (lam, n)
+
+
 def test_zero_field_report(grid16):
     rep = _report_2d(grid16, np.zeros((15, 15)))
     assert rep.odd_floor == 0.0

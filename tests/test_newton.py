@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chebratu import (
+    Laplacian,
     NewtonConfig,
     NewtonTrace,
     Solution,
@@ -27,6 +28,7 @@ from chebratu.errors import (
     NonConvergenceError,
     SingularJacobianError,
 )
+from chebratu.newton import _fold, _unfold
 
 
 def _dense(J, b):
@@ -315,6 +317,60 @@ def test_solution_views(n, ndim):
     else:
         assert sol.u_max < 3.0
         assert abs(sol.center_value() - 3.0) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# named-guess solves on the even half of each axis
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 16, 40])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_folded_apply_matches_full_apply_on_even_fields(n, ndim):
+    """``_fold`` keeps the first ``ceil(m/2)`` rows and adds each mirrored
+    column to its partner, so on an even field the folded operator gives
+    the first half of the full one, for odd and even ``m = n - 1``."""
+    grid = cheb_points(n, 1.0)
+    full = laplacian(grid, ndim)
+    m = n - 1
+    folded = Laplacian(_fold(full.d2), ndim)
+    assert folded.d2.shape == ((m + 1) // 2,) * 2 and not folded.d2.flags.writeable
+    half = np.random.default_rng(n + ndim).uniform(-1.0, 1.0, ((m + 1) // 2,) * ndim)
+    u = _unfold(half, m)
+    assert u.shape == (m,) * ndim
+    assert all(np.array_equal(u, np.flip(u, axis)) for axis in range(ndim))
+    expect = full.apply(u.reshape(-1)).reshape(u.shape)
+    got = _unfold(folded.apply(half.reshape(-1)).reshape(half.shape), m)
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("ndim, n, guesses", [
+    (1, 31, (("zero", None), ("onepoint", 6.0), ("eigenfunction", None))),
+    (1, 32, (("zero", None), ("onepoint", 6.0), ("eigenfunction", None))),
+    (2, 15, (("zero", None), ("onepoint", 1.0), ("eigenfunction", None))),
+    (2, 16, (("zero", None), ("onepoint", 6.0), ("eigenfunction", None))),
+    (3, 9, (("zero", None), ("onepoint", 1.0), ("eigenfunction", None))),
+])
+def test_named_guess_solve_is_exactly_even(ndim, n, guesses):
+    """A named guess solves on the even half and mirrors the result back:
+    the values are even bit for bit, and agree with the solve on the whole
+    interior from the same field passed as an array, in the same number
+    of Newton steps, and their full-grid residual vanishes."""
+    grid = cheb_points(n, 1.0)
+    exp, lam = make_nonlinearity("exp"), 0.25 if ndim == 1 else 0.5
+    full = laplacian(grid, ndim)
+    folded = Laplacian(_fold(full.d2), ndim)
+    for guess, amplitude in guesses:
+        sol = solve(lam, exp, grid, ndim, guess, amplitude)
+        assert sol.trace.converged, guess
+        assert all(np.array_equal(sol.values, np.flip(sol.values, axis))
+                   for axis in range(ndim)), guess
+        field = _unfold(initial_guess(grid, folded, guess, amplitude), n - 1)
+        ref = solve(lam, exp, grid, ndim, field)
+        assert ref.trace.iterations == sol.trace.iterations, guess
+        assert np.max(np.abs(sol.values - ref.values)) <= 1e-12 * sol.u_max, guess
+        u = sol.interior.reshape(-1)
+        assert np.max(np.abs(full.apply(u) + exp.value(lam, u))) <= 1e-10, guess
 
 
 # a solve on [-L, L] at lam / L**2 is the L = 1 solve at lam: D2 scales by 1 / L**2

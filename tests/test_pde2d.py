@@ -83,7 +83,7 @@ def test_kronecker_identity_property():
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_solve_shifted_by_dimension(ndim):
-    """``Lap + diag(d)`` is solved by LU in 1D (one linear iteration, the
+    """``Lap + diag(d)`` is solved by QR in 1D (one linear iteration, the
     dense ``shifted`` matrix) and by GMRES otherwise."""
     rng = np.random.default_rng(47)
     op = laplacian(cheb_points(12, 1.0), ndim)
@@ -300,22 +300,26 @@ def test_1d_solve_never_factors_d2(exp_nl, eig_calls, guess):
 
 def test_eigenfunction_guess_solve_factors_d2_once(grid16, exp_nl, eig_calls, monkeypatch):
     """The eigenfunction guess takes its ground state from the solve's own
-    fast diagonalization, which every GMRES step reuses: one eig of D2
-    per 2D solve, whatever the guess, and per 1D eigenfunction solve,
-    which never inverts the eigenvectors (only the preconditioner does)."""
+    fast diagonalization, which every GMRES step reuses: one eig and one
+    inverse per 2D solve, of the 8 x 8 even half of D2 from every named
+    guess and of the whole 15 x 15 D2 from an array guess, and one eig per
+    1D eigenfunction solve, which never inverts the eigenvectors (only the
+    preconditioner does)."""
     inverted = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
-    for guess, amplitude in (("eigenfunction", 0.1), ("onepoint", 1.0), ("zero", None)):
+    onepoint = initial_guess(grid16, laplacian(grid16, 2), "onepoint", 1.0)
+    for guess, amplitude, shape in (("eigenfunction", 0.1, (8, 8)), ("onepoint", 1.0, (8, 8)),
+                                    ("zero", None, (8, 8)), (onepoint, None, (15, 15))):
         eig_calls.clear()
         sol = solve(0.5, exp_nl, grid16, 2, guess, amplitude)
-        assert eig_calls == [(15, 15)] and inverted == [(15, 15)], guess
+        assert eig_calls == [shape] and inverted == [shape], guess
         assert abs(sol.u_max - UMAX_SMALL_N16) < 1e-9
         inverted.clear()
     eig_calls.clear()
     sol = solve(0.25, exp_nl, cheb_points(32, 1.0), 1, "eigenfunction")
     assert sol.trace.converged and sol.trace.linear_iterations == [1] * sol.trace.iterations
-    assert eig_calls == [(31, 31)] and inverted == []
+    assert eig_calls == [(16, 16)] and inverted == []
 
 
 def test_eigenpairs_factors_d2_once(grid16, eig_calls):
