@@ -76,8 +76,8 @@ class NewtonConfig:
     max_iter: int = 25
 
     def __post_init__(self):
-        if not self.tol_update > 0.0:
-            raise InvalidArgumentError("tol_update must be positive")
+        if not 0.0 < self.tol_update < np.inf:
+            raise InvalidArgumentError("tol_update must be finite and positive")
         if self.max_iter < 1:
             raise InvalidArgumentError("max_iter must be at least 1")
 

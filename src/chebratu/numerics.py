@@ -2,9 +2,10 @@
 
 Thin, contract-enforcing wrappers over LAPACK, through NumPy alone: a
 Householder QR with an explicit near-singularity check for the dense
-Newton inner solves, a preconditioned GMRES for the matrix-free ones, and
-a deterministically sorted and normalized eigendecomposition for the
-stability verdicts and the fast diagonalization of the 2D Laplacian.
+Newton inner solves, a preconditioned GMRES of one cycle, with no
+restart, for the matrix-free ones, and a deterministically sorted and
+normalized eigendecomposition for the stability verdicts and the fast
+diagonalization of the 2D Laplacian.
 Both of those spectra are real (the Dirichlet Chebyshev ``D2`` has real,
 negative, distinct eigenvalues; Gottlieb & Lustman, 1983), so the
 eigendecomposition is real and treats a complex spectrum as a failure.
@@ -27,12 +28,11 @@ _PIVOT_RTOL = 1e-14
 # GMRES stops when its residual estimate is below _GMRES_RTOL * ||b||_2 and
 # the recomputed residual b - A x below _GMRES_CHECK_RTOL * ||b||_2: the
 # recomputation carries rounding of order eps ||A|| ||x||, which at n = 64
-# is already about 5e-14 ||b|| for the 2D Laplacian.  It restarts after
-# _GMRES_RESTART steps and declares the operator singular after _GMRES_MAXITER.
+# is already about 5e-14 ||b|| for the 2D Laplacian.  It declares the
+# operator singular when one cycle of _GMRES_MAXITER steps misses either.
 _GMRES_RTOL = 1e-13
 _GMRES_CHECK_RTOL = 1e-10
-_GMRES_RESTART = 40
-_GMRES_MAXITER = 200
+_GMRES_MAXITER = 40
 # a spectrum counts as real when no imaginary part exceeds this multiple of
 # the largest real part
 _IMAG_RTOL = 1e-10
@@ -104,23 +104,23 @@ def _back_substitute(r, g) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def gmres(apply, b, precondition):
-    """Solve ``A x = b`` by right-preconditioned restarted GMRES.
+    """Solve ``A x = b`` by right-preconditioned GMRES, one cycle from ``x = 0``.
 
     ``apply(v)`` returns ``A v`` and ``precondition(v)`` returns ``M^-1 v``
-    for an approximate inverse ``M^-1`` of ``A``.  Each cycle of at most
-    ``_GMRES_RESTART`` steps minimizes the true residual ``||b - A x||_2``
+    for an approximate inverse ``M^-1`` of ``A``.  The cycle of at most
+    ``_GMRES_MAXITER`` steps minimizes the true residual ``||b - A x||_2``
     over the Krylov space of ``A M^-1`` (classical Gram-Schmidt, applied
-    twice, and Givens rotations); a cycle ends once the residual estimate
-    falls below ``_GMRES_RTOL * ||b||_2``, and the solve ends when the
-    recomputed residual confirms it.  Returns ``(x, iterations)``, the
-    iteration count summed over cycles; ``x = 0`` with no iterations for
-    ``b = 0``.
+    twice, and Givens rotations); it ends once the residual estimate falls
+    below ``_GMRES_RTOL * ||b||_2``, and the recomputed residual, one more
+    product, must confirm it.  There is no restart: a regular Newton
+    Jacobian converges well inside one cycle.  Returns ``(x, iterations)``;
+    ``x = 0`` with no iterations for ``b = 0``.
 
     Raises
     ------
     SingularMatrixError
-        If the solve has not ended within ``_GMRES_MAXITER`` iterations,
-        if the Krylov space closes without containing the solution, or if
+        If the cycle ends with either residual above its bound, if the
+        Krylov space closes without containing the solution, or if
         ``||b||_2`` or a product becomes non-finite.
     InvalidArgumentError
         If ``b`` has non-finite entries.
@@ -128,57 +128,52 @@ def gmres(apply, b, precondition):
     b = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b)):
         raise InvalidArgumentError("right-hand side entries must be finite")
-    x = np.zeros_like(b)
     bnorm = math.sqrt(b @ b)
     if not math.isfinite(bnorm):
         raise SingularMatrixError("GMRES cannot scale a right-hand side whose 2-norm overflows")
-    r, done = b, 0
-    while bnorm > 0.0:
-        beta = math.sqrt(r @ r)
-        if done >= _GMRES_MAXITER or not math.isfinite(beta):
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0
+    q = np.empty((_GMRES_MAXITER + 1, b.size))
+    # the rotated Hessenberg matrix, upper triangular; the rotations and the
+    # rotated right-hand side g are Python floats
+    h = np.zeros((_GMRES_MAXITER, _GMRES_MAXITER))
+    rot, g = [], [bnorm]
+    q[0] = b / bnorm
+    for j in range(_GMRES_MAXITER):
+        w = apply(precondition(q[j]))
+        column = np.zeros(j + 1)
+        for _ in range(2):
+            c = q[:j + 1] @ w
+            w = w - c @ q[:j + 1]
+            column += c
+        wnorm = math.sqrt(w @ w)
+        column = column.tolist() + [wnorm]
+        for i, (cs, sn) in enumerate(rot):
+            a, e = column[i], column[i + 1]
+            column[i], column[i + 1] = cs * a + sn * e, cs * e - sn * a
+        rho = float(np.hypot(column[j], column[j + 1]))
+        if not (math.isfinite(rho) and rho > 0.0):
             raise SingularMatrixError(
-                f"matrix is singular to working precision (GMRES residual above "
-                f"{_GMRES_RTOL} * ||b|| after {done} iterations)"
+                "matrix is singular to working precision (GMRES breakdown)"
             )
-        steps = min(_GMRES_RESTART, _GMRES_MAXITER - done)
-        q = np.empty((steps + 1, b.size))
-        # the rotated Hessenberg matrix, upper triangular; the rotations and
-        # the rotated right-hand side g are Python floats
-        h = np.zeros((steps, steps))
-        rot, g = [], [beta]
-        q[0] = r / beta
-        for j in range(steps):
-            w = apply(precondition(q[j]))
-            column = np.zeros(j + 1)
-            for _ in range(2):
-                c = q[:j + 1] @ w
-                w = w - c @ q[:j + 1]
-                column += c
-            wnorm = math.sqrt(w @ w)
-            column = column.tolist() + [wnorm]
-            for i, (cs, sn) in enumerate(rot):
-                a, e = column[i], column[i + 1]
-                column[i], column[i + 1] = cs * a + sn * e, cs * e - sn * a
-            rho = float(np.hypot(column[j], column[j + 1]))
-            if not (math.isfinite(rho) and rho > 0.0):
-                raise SingularMatrixError(
-                    "matrix is singular to working precision (GMRES breakdown)"
-                )
-            cs, sn = column[j] / rho, column[j + 1] / rho
-            rot.append((cs, sn))
-            column[j] = rho
-            h[:j + 1, j] = column[:j + 1]
-            g[j:] = cs * g[j], -sn * g[j]
-            done += 1
-            if abs(g[j + 1]) <= _GMRES_RTOL * bnorm:
-                break
-            q[j + 1] = w / wnorm
-        y = _back_substitute(h[:j + 1, :j + 1], g[:j + 1])
-        x = x + precondition(y @ q[:j + 1])
-        r = b - apply(x)
-        if abs(g[j + 1]) <= _GMRES_RTOL * bnorm and math.sqrt(r @ r) <= _GMRES_CHECK_RTOL * bnorm:
+        cs, sn = column[j] / rho, column[j + 1] / rho
+        rot.append((cs, sn))
+        column[j] = rho
+        h[:j + 1, j] = column[:j + 1]
+        g[j:] = cs * g[j], -sn * g[j]
+        if abs(g[j + 1]) <= _GMRES_RTOL * bnorm:
             break
-    return x, done
+        q[j + 1] = w / wnorm
+    y = _back_substitute(h[:j + 1, :j + 1], g[:j + 1])
+    x = precondition(y @ q[:j + 1])
+    r = b - apply(x)
+    if not (abs(g[j + 1]) <= _GMRES_RTOL * bnorm
+            and math.sqrt(r @ r) <= _GMRES_CHECK_RTOL * bnorm):
+        raise SingularMatrixError(
+            f"matrix is singular to working precision (GMRES residual above "
+            f"{_GMRES_RTOL} * ||b|| after {j + 1} iterations)"
+        )
+    return x, j + 1
 
 
 def eig_general(a, want_vectors: bool = True) -> EigenResult:

@@ -7,8 +7,9 @@ Usage::
 Each tree's ``src/`` is imported in a subprocess of its own, which runs a
 fixed list of argv through ``chebratu.cli.run`` and reports, per request,
 the exit code and the output (stdout, then the ``--output`` file).  Every
-request whose exit code or output bytes differ is printed; the exit status
-is 1 if any differ.  Messages on stderr are not compared.
+request whose exit code or output bytes differ is printed, and a summary
+line counts them by the parent's exit code; the exit status is 1 if any
+differ.  Messages on stderr are not compared.
 
 Each differing request whose two outputs are both JSON is also compared
 number by number: any change in the Newton iteration count is printed,
@@ -355,16 +356,18 @@ def main(argv=None) -> int:
         request_file.write_text(json.dumps(reqs))
         before = _run_tree(args.parent.resolve(), request_file)
         after = _run_tree(args.change.resolve(), request_file)
-    differ = 0
+    differ = Counter()
     overall = {}
     for argv, (code_a, text_a), (code_b, text_b) in zip(reqs, before, after):
         if code_a != code_b or text_a != text_b:
-            differ += 1
+            differ[str(code_a)] += 1
             print(f"DIFFER exit {code_a} -> {code_b}, output "
                   f"{'same' if text_a == text_b else 'changed'}: {' '.join(argv)}")
             _print_numeric(code_a, code_b, text_a, text_b, overall)
-    codes = dict(sorted(Counter(str(code) for code, _ in before).items()))
-    print(f"{len(reqs)} requests (parent exit code: count {codes}), {differ} differ")
+    codes = sorted(Counter(str(code) for code, _ in before).items())
+    print(f"{len(reqs)} requests, {differ.total()} differ; by parent exit code: "
+          + ", ".join(f"{differ[code]} of {count} exit-{code} requests differ"
+                      for code, count in codes))
     if overall:
         print("largest difference per key path, requests that exit 0 in both trees:")
         for path, diff in sorted(overall.items()):

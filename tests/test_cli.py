@@ -110,14 +110,23 @@ def test_solve_1d_above_fold_exits_3(tmp_path, capsys):
 
 def test_singular_jacobian_exits_3_with_trace(tmp_path, capsys):
     # above the fold these Newton runs meet a singular Jacobian; that is a
-    # solver failure like any other and is reported with its trace
-    for argv in (["solve-1d", "--lambda", "1.75", "--n", "32"],
-                 ["solve-2d", "--lambda", "2.0", "--n", "16", "--guess", "eigenfunction"]):
+    # solver failure like any other and is reported with its trace.  The 2D
+    # requests are the above-fold probes of perfbench/deck.py, whose check
+    # wants at least one Newton step: a GMRES solve that fails must never end
+    # such a run before its first step
+    argvs = [["solve-1d", "--lambda", "1.75", "--n", "32"]]
+    for lam in ("2.0", "2.5"):
+        for n in ("16", "24"):
+            argvs += [["solve-2d", "--lambda", lam, "--n", n, "--guess", "eigenfunction"],
+                      ["solve-2d", "--lambda", lam, "--n", n, "--guess", "onepoint",
+                       "--amplitude", "1.5625", "--nonlinearity", "exp"]]
+    for argv in argvs:
         doc = _run_json(argv, tmp_path, expect=3)
         assert doc["solution"] is None
         assert "singular" in doc["error"]
         assert doc["newton"]["converged"] is False
         assert doc["newton"]["iterations"] >= 1
+        assert len(doc["newton"]["update_norms"]) == doc["newton"]["iterations"]
     capsys.readouterr()
 
 
@@ -128,6 +137,11 @@ def test_invalid_arguments_exit_2(tmp_path, capsys):
     assert run(["bifurcation-1d", "--samples", "1"]) == 2
     assert run(["solve-1d", "--lambda", "0.25",
                 "--output", str(tmp_path / "no" / "dir.json")]) == 2
+    # a Newton tolerance must be finite and positive: --tol inf would accept
+    # the first update as a solution
+    for tol in ("0", "-1e-12", "inf", "nan"):
+        assert run(["solve-1d", "--lambda", "0.5", "--tol", tol]) == 2, tol
+        assert run(["solve-2d", "--lambda", "0.5", "--tol", tol]) == 2, tol
     # guesses: names are checked, an amplitude must be finite whatever the
     # guess (the eigenfunction's also positive, in either dimension) and a
     # file must match the grid

@@ -158,8 +158,10 @@ def test_iterate_residual_shape_checks():
 
 
 def test_config_validation():
-    with pytest.raises(InvalidArgumentError):
-        NewtonConfig(tol_update=0.0)
+    # an infinite tolerance would accept the first update, however large
+    for tol in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InvalidArgumentError):
+            NewtonConfig(tol_update=tol)
     with pytest.raises(InvalidArgumentError):
         NewtonConfig(max_iter=0)
 

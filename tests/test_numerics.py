@@ -113,8 +113,24 @@ def test_gmres_rank_deficient_raises():
 
         with pytest.raises(SingularMatrixError):
             gmres(apply, rng.uniform(-1.0, 1.0, m), lambda v: v)
-        # one product per Arnoldi step, one residual per restart cycle
-        assert len(calls) <= 2 * _GMRES_MAXITER
+        # one product per Arnoldi step, and one for the recomputed residual
+        assert len(calls) <= _GMRES_MAXITER + 1
+
+
+def test_gmres_runs_one_cycle():
+    # a regular, well-conditioned system that needs about 50 steps: the one
+    # cycle ends after _GMRES_MAXITER products and the recomputed residual,
+    # with no restart
+    d = np.linspace(1.0, 20.0, 60)
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return d * v
+
+    with pytest.raises(SingularMatrixError, match=f"after {_GMRES_MAXITER} iterations"):
+        gmres(apply, np.ones(60), lambda v: v)
+    assert len(calls) == _GMRES_MAXITER + 1
 
 
 def test_gmres_back_substitution_matches_scipy_bit_for_bit():

@@ -387,6 +387,32 @@ def test_big_solve_matches_dense_reference(big16):
     assert all(1 <= k <= _GMRES_MAXITER for k in linear)
 
 
+def _gmres_headroom_cases():
+    for n in (16, 32, 64):
+        grid = cheb_points(n, 1.0)
+        yield from ((0.5, grid, 2, "eigenfunction", 0.1), (1.7, grid, 2, "eigenfunction", 0.1),
+                    (0.5, grid, 2, "onepoint", 5.5), (1.0, grid, 2, "onepoint", 4.0))
+    for n in (16, 48):
+        yield 0.5, cheb_points(n, 1.0), 2, "onepoint", 6.0
+    for n in (32, 64):
+        grid = cheb_points(n, 1.0)
+        x = grid.points
+        yield 0.5, grid, 2, 0.1 * np.outer(np.cos(np.pi * x / 2.0), np.cos(np.pi * x / 2.0)), None
+        yield 0.5, grid, 2, 5.5 * np.outer(1.0 - x**2, 1.0 - x**2)[1:-1, 1:-1], None
+    yield 1.0, cheb_points(16, 1.0), 3, "eigenfunction", 0.1
+
+
+def test_converged_solves_leave_gmres_headroom(exp_nl):
+    """GMRES runs one cycle of _GMRES_MAXITER steps with no restart, so every
+    linear solve of a converged Newton run must end well inside it: at most
+    20 steps on the even half and 22 on the whole interior today."""
+    for lam, grid, ndim, guess, amplitude in _gmres_headroom_cases():
+        sol = solve(lam, exp_nl, grid, ndim, guess, amplitude)
+        label = (lam, grid.n, ndim, guess if isinstance(guess, str) else "array", amplitude)
+        assert sol.trace.converged, label
+        assert max(sol.trace.linear_iterations) <= 30, label
+
+
 def test_small_big_ordering(small16, big16):
     assert small16.u_max < big16.u_max
     assert small16.trace.iterations < big16.trace.iterations
