@@ -60,8 +60,9 @@ def _guess_file(path: str) -> np.ndarray:
 class _NegativeNumber:
     """Which argv entries starting with ``-`` argparse reads as a value, not
     as an option: every negative float literal, exponents (``-1e2``) and
-    ``-inf`` included.  Python 3.11's own pattern reads only ``-1`` and
-    ``-1.5`` that way, so ``--amplitude -1e2`` would fail to parse."""
+    ``-inf`` included.  argparse's own pattern (CPython 3.10 to 3.13) reads
+    only ``-1`` and ``-1.5`` that way, so ``--amplitude -1e2`` would fail
+    to parse."""
 
     @staticmethod
     def match(text: str) -> bool:
@@ -81,9 +82,10 @@ class _Parser(argparse.ArgumentParser):
         # argparse has no public hook for this.  ``_negative_number_matcher``
         # is the private regex that ``_ActionsContainer.__init__`` compiles
         # and that ``_add_action`` and ``ArgumentParser._parse_optional``
-        # call as ``.match(arg)``; checked on CPython 3.11 only.  Another
-        # version may read it differently, which
-        # ``test_negative_number_as_its_own_argv_entry`` would show.
+        # call as ``.match(arg)``; checked in the argparse sources of
+        # CPython 3.10, 3.11, 3.12 and 3.13.  Another version may read it
+        # differently, which ``test_negative_number_as_its_own_argv_entry``
+        # would show.
         self._negative_number_matcher = _NegativeNumber
 
 
@@ -107,11 +109,11 @@ def _add_common(p, *, guesses=None):
                        help="reaction term f(u) (default exp)")
         p.add_argument("--epsilon", type=float, default=None,
                        help="gelfand perturbation (required with --nonlinearity gelfand)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="Newton update tolerance (default 1e-12); the residual test "
+        p.add_argument("--tol", type=float, default=NewtonConfig.tol_update,
+                       help="Newton update tolerance (default %(default)s); the residual test "
                             "(sup-norm <= 1e-10) usually stops the iteration first")
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                       help="Newton iteration cap (default 25)")
+        p.add_argument("--max-iter", dest="max_iter", type=int, default=NewtonConfig.max_iter,
+                       help="Newton iteration cap (default %(default)s)")
     p.add_argument("--format", default="json", choices=["json", "csv", "dat"],
                    help="output format (default json)")
     p.add_argument("--output", default=None, help="output path (default stdout)")
@@ -237,8 +239,7 @@ def _solving(report):
             "nonlinearity": args.nonlinearity,
             "epsilon": args.epsilon,
         }
-        stops = {"tol_update": args.tol, "max_iter": args.max_iter}
-        config = NewtonConfig(**{key: v for key, v in stops.items() if v is not None})
+        config = NewtonConfig(args.tol, args.max_iter)
         nonlinearity = make_nonlinearity(args.nonlinearity, args.epsilon)
         try:
             if args.dim == "1d":

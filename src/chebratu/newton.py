@@ -69,7 +69,9 @@ class NewtonConfig:
     most ``tol_update`` or whose post-step residual has sup-norm at most
     ``1e-10``, and fails after ``max_iter`` steps.  With the default
     ``tol_update`` the residual test is the one that ends a solve, often
-    while the last update is still well above ``1e-10``.
+    while the last update is still well above ``1e-10``, except on fine 1D
+    grids (from about n = 200), whose residual cannot fall below ``1e-10``
+    in floating point.
     """
 
     tol_update: float = 1e-12

@@ -3,8 +3,9 @@
 Thin, contract-enforcing wrappers over LAPACK, through NumPy alone: a
 Householder QR with an explicit near-singularity check for the dense
 Newton inner solves, a preconditioned GMRES of one cycle, with no
-restart, for the matrix-free ones, and a deterministically sorted and
-normalized eigendecomposition for the stability verdicts and the fast
+restart, for the matrix-free ones (its least-squares step is LAPACK's,
+as the QR solve's is), and a deterministically sorted and normalized
+eigendecomposition for the stability verdicts and the fast
 diagonalization of the 2D Laplacian.
 Both of those spectra are real (the Dirichlet Chebyshev ``D2`` has real,
 negative, distinct eigenvalues; Gottlieb & Lustman, 1983), so the
@@ -92,16 +93,6 @@ def qr_solve(a, b) -> np.ndarray:
     return np.linalg.solve(r, q.T @ rhs)
 
 
-def _back_substitute(r, g) -> np.ndarray:
-    """Solve ``R y = g`` for upper-triangular ``R`` with nonzero diagonal,
-    row by row from the last; the tests check it bit for bit against
-    LAPACK's triangular solve."""
-    y = np.empty(len(g))
-    for i in range(len(g) - 1, -1, -1):
-        y[i] = (g[i] - r[i, i + 1:] @ y[i + 1:]) / r[i, i]
-    return y
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def gmres(apply, b, precondition):
     """Solve ``A x = b`` by right-preconditioned GMRES, one cycle from ``x = 0``.
@@ -110,8 +101,9 @@ def gmres(apply, b, precondition):
     for an approximate inverse ``M^-1`` of ``A``.  The cycle of at most
     ``_GMRES_MAXITER`` steps minimizes the true residual ``||b - A x||_2``
     over the Krylov space of ``A M^-1`` (classical Gram-Schmidt, applied
-    twice, and Givens rotations); it ends once the residual estimate falls
-    below ``_GMRES_RTOL * ||b||_2``, and the recomputed residual, one more
+    twice, Givens rotations, and ``np.linalg.solve`` for the triangular
+    system they leave); it ends once the residual estimate falls below
+    ``_GMRES_RTOL * ||b||_2``, and the recomputed residual, one more
     product, must confirm it.  There is no restart: a regular Newton
     Jacobian converges well inside one cycle.  Returns ``(x, iterations)``;
     ``x = 0`` with no iterations for ``b = 0``.
@@ -164,7 +156,7 @@ def gmres(apply, b, precondition):
         if abs(g[j + 1]) <= _GMRES_RTOL * bnorm:
             break
         q[j + 1] = w / wnorm
-    y = _back_substitute(h[:j + 1, :j + 1], g[:j + 1])
+    y = np.linalg.solve(h[:j + 1, :j + 1], g[:j + 1])
     x = precondition(y @ q[:j + 1])
     r = b - apply(x)
     if not (abs(g[j + 1]) <= _GMRES_RTOL * bnorm

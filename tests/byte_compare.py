@@ -19,7 +19,8 @@ last table gives the largest difference per key path over the requests
 that exit 0 in both trees.
 
 The list covers all eight subcommands in json, csv and dat; n = 7, 12, 13,
-15, 16, 32, 48 and 64; the exp, gelfand, cosh and sinh terms in both
+15, 16, 32, 48 and 64, and 1D solves at n = 200 and 256, which only the
+Newton update test ends; the exp, gelfand, cosh and sinh terms in both
 dimensions (the 1D solve, stability and coefficient subcommands with each
 term from both guesses); both branches; the eigenfunction guess in both
 dimensions; ``file:`` guesses in both dimensions, among them an empty and
@@ -156,6 +157,10 @@ def requests(tmp: Path) -> list[list[str]]:
                              "--guess", f"file:{files[name]}", *f])
                 reqs.append(["symmetry", "--lambda", "0.5", "--n", n,
                              "--guess", f"file:{files[name]}", *f])
+    # 1D grids whose residual floor lies above 1e-10, so that only the
+    # Newton update test ends the solve
+    for n in ("200", "256"):
+        reqs.append(["solve-1d", "--lambda", "0.05", "--n", n, "--guess", "onepoint"])
     # exit 3: Newton failures with their trace (tests/test_cli.py and more)
     for argv in (["solve-2d", "--lambda", "5.0", "--n", "16", "--guess", "eigenfunction"],
                  ["solve-1d", "--lambda", "1.0"],

@@ -253,6 +253,18 @@ def test_update_norms_contract_at_the_end(dual_solutions):
         assert tail[0] > tail[1] > tail[2]
 
 
+@pytest.mark.parametrize("n", [200, 256])
+def test_update_test_ends_solves_whose_residual_floor_is_above_its_tolerance(n):
+    # on fine 1D grids the rounding floor of ||F||_inf lies above 1e-10, so
+    # only the update test (default 1e-12) can end the solve: without it
+    # these run all 25 steps and fail
+    sol = solve_1d(0.05, EXP, cheb_points(n, 1.0), "onepoint")
+    assert sol.trace.converged
+    assert sol.trace.residual_norms[-1] > 1e-10
+    assert sol.trace.update_norms[-1] <= 1e-12
+    assert abs(sol.center_value() - branch_amplitudes(0.05)[1]) < 1e-10
+
+
 def test_small_branch_convergence_order(dual_solutions):
     small, _ = dual_solutions
     assert convergence_order_estimate(small.trace) >= 1.8

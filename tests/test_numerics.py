@@ -9,7 +9,7 @@ import pytest
 
 from chebratu import cheb_points, eig_general, gmres, qr_solve, second_diff_matrix
 from chebratu.errors import InvalidArgumentError, NumericalFailureError, SingularMatrixError
-from chebratu.numerics import _GMRES_MAXITER, _GMRES_RTOL, _back_substitute
+from chebratu.numerics import _GMRES_MAXITER, _GMRES_RTOL
 
 
 def _real_spectrum(rng, m):
@@ -131,21 +131,6 @@ def test_gmres_runs_one_cycle():
     with pytest.raises(SingularMatrixError, match=f"after {_GMRES_MAXITER} iterations"):
         gmres(apply, np.ones(60), lambda v: v)
     assert len(calls) == _GMRES_MAXITER + 1
-
-
-def test_gmres_back_substitution_matches_scipy_bit_for_bit():
-    # the least-squares step of each GMRES cycle gives SciPy's bytes, so
-    # 2D solves need no SciPy
-    from scipy.linalg import solve_triangular
-
-    rng = np.random.default_rng(23)
-    for m in range(1, 41):
-        for _ in range(20):
-            r = np.triu(rng.standard_normal((m, m)))
-            r[np.diag_indices(m)] = np.abs(np.diag(r)) + rng.uniform(1e-3, 1.0, m)
-            g = rng.standard_normal(m)
-            assert np.array_equal(_back_substitute(r, g),
-                                  solve_triangular(r, g, check_finite=False)), m
 
 
 def test_eig_diagonal():
