@@ -21,21 +21,20 @@ In ``b = B L`` the curve reads ``A = 2 ln cosh b``, ``lam L**2 =
 decays again, so below the fold every ``lam`` admits a small and a big
 solution, with amplitudes on either side of ``A*``.  This module provides
 the closed-form curve and its fold, amplitude lookups on both branches,
-collocation solutions of the discrete problem for any reaction term (the
-one-axis case of the shared :func:`~chebratu.newton.solve`, with the
-branch label on top), and the linearized-stability verdict.
+the branch label of a collocation solution (solved by the shared
+:func:`~chebratu.newton.solve`), and the linearized-stability verdict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import Grid1D, _check_half_width
+from .chebyshev import _check_half_width
 from .errors import InvalidArgumentError
-from .newton import NewtonConfig, Nonlinearity, Solution, laplacian, make_nonlinearity, solve
+from .newton import Solution, laplacian, make_nonlinearity
 from .numerics import EigenResult, eig_general
 
 __all__ = [
@@ -46,7 +45,7 @@ __all__ = [
     "critical_point",
     "branch_amplitudes",
     "bifurcation_curve",
-    "solve_1d",
+    "branch_label",
     "stability_1d",
 ]
 
@@ -203,28 +202,18 @@ def bifurcation_curve(half_width: float = 1.0, samples: int = 400) -> Bifurcatio
 _EXP = make_nonlinearity("exp")
 
 
-def solve_1d(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, guess="zero",
-             amplitude: float | None = None,
-             config: NewtonConfig | None = None) -> Solution:
-    """Newton-Kantorovich solution of the collocation system.
+def branch_label(sol: Solution) -> str:
+    """The branch of the closed-form curve that ``sol`` lies on.
 
-    The shared :func:`~chebratu.newton.solve` with ``ndim=1``: the
-    interior system ``D2 u + lam f(u) = 0``, each Newton step a QR solve,
-    from ``guess`` and ``amplitude`` (``"zero"``, ``"onepoint"``,
-    ``"eigenfunction"`` or a custom vector; see
-    :func:`~chebratu.newton.initial_guess`).  For the exp term and ``0 < lam < lam*`` the result
-    is labeled "small" when its interpolated center value lies below the
-    fold amplitude ``A*``, else "big"; otherwise, and for every other term
-    (the closed form covers only exp), "unknown".
-
-    For ``lam`` above the fold the iteration has nothing to converge to
-    and the Newton error propagates with its trace.
+    A 1D solution of the exp term with ``0 < lam < lam*`` is "small" when
+    its interpolated center value lies below the fold amplitude ``A*``,
+    else "big"; every other solution is "unknown" (the closed form covers
+    only exp in 1D).
     """
-    sol = solve(lam, nonlinearity, grid, 1, guess, amplitude, config)
-    a_star, lam_star = critical_point(grid.half_width)
-    if nonlinearity is _EXP and 0.0 < lam < lam_star:
-        sol = replace(sol, branch="small" if sol.center_value() < a_star else "big")
-    return sol
+    a_star, lam_star = critical_point(sol.grid.half_width)
+    if sol.values.ndim != 1 or sol.nonlinearity is not _EXP or not 0.0 < sol.lam < lam_star:
+        return "unknown"
+    return "small" if sol.center_value() < a_star else "big"
 
 
 def stability_1d(sol: Solution) -> tuple[bool, float, EigenResult]:

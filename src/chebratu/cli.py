@@ -7,11 +7,11 @@ machine-readable (json / csv / dat); ``.dat`` files are two/three-column
 whitespace tables ready for external plotting tools.  Runs are
 deterministic: the same argv produces byte-identical output.
 
-Exit codes: 0 success, 2 invalid arguments, 3 Newton failure of any
-kind (non-convergence, divergence or a singular Jacobian; the payload
-still carries the Newton trace), 4 any other numerical failure (such as
-an eigensolver that does not converge or finds a complex spectrum, or a
-gelfand pole).
+Exit codes: 0 success, 2 invalid arguments (a size too large to
+allocate among them), 3 Newton failure of any kind (non-convergence,
+divergence or a singular Jacobian; the payload still carries the Newton
+trace), 4 any other numerical failure (such as an eigensolver that does
+not converge or finds a complex spectrum, or a gelfand pole).
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Chebyshev collocation solvers for Bratu-type problems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a solve subcommand sets ``dim`` ("1d" or "2d"), which picks the operator
+    # a solve subcommand sets ``dim``, "1d" or "2d", whose digit is the ndim it solves in
 
     p = sub.add_parser("bifurcation-1d", help="closed-form 1D curve and fold")
     p.add_argument("--L", dest="half_width", type=float, default=1.0,
@@ -223,12 +223,13 @@ def _cmd_bifurcation_2d_approx(args):
 
 
 def _solving(report):
-    """The handler of a solve subcommand: run the 1D or 2D solve the
-    invocation asks for and pass it on as ``report(args, solution,
-    params)``.  On any Newton failure the handler returns exit 3 instead,
-    with the Newton trace and the error message."""
+    """The handler of a solve subcommand: run the solve the invocation asks
+    for, in the dimension its parser sets, and pass it on as ``report(args,
+    solution, params)``.  On any Newton failure the handler returns exit 3
+    instead, with the Newton trace and the error message."""
     def handler(args):
-        n = args.n if args.n is not None else (32 if args.dim == "1d" else 16)
+        ndim = int(args.dim[0])
+        n = args.n if args.n is not None else (32 if ndim == 1 else 16)
         grid = cheb_points(n, args.half_width)
         guess = _guess_file(args.guess[5:]) if args.guess.startswith("file:") else args.guess
         params = {
@@ -242,10 +243,7 @@ def _solving(report):
         config = NewtonConfig(args.tol, args.max_iter)
         nonlinearity = make_nonlinearity(args.nonlinearity, args.epsilon)
         try:
-            if args.dim == "1d":
-                sol = bratu1d.solve_1d(args.lam, nonlinearity, grid, guess, args.amplitude, config)
-            else:
-                sol = solve(args.lam, nonlinearity, grid, 2, guess, args.amplitude, config)
+            sol = solve(args.lam, nonlinearity, grid, ndim, guess, args.amplitude, config)
         except NewtonError as exc:
             doc = {
                 "params": params,
@@ -262,12 +260,13 @@ def _cmd_solve(args, sol, params):
     decay = diagnostics.decay_report(sol.grid, sol.values.T)
     dim = sol.values.ndim
     rot90 = diagnostics.symmetry_report(sol.interior).rot90_dev if dim == 2 else None
+    branch = bratu1d.branch_label(sol)
     doc = {
         "params": params,
         "solution": {
             "u_max": sol.u_max,
             "center_value": sol.center_value(),
-            "branch": sol.branch,
+            "branch": branch,
             "grid_values": np.atleast_2d(sol.values),
         },
         "newton": _trace_doc(sol.trace),
@@ -279,7 +278,7 @@ def _cmd_solve(args, sol, params):
     }
     # one row per grid point, x varying fastest: (x, u) or (x, y, u[iy, ix])
     coords = [c.ravel() for c in np.meshgrid(*[sol.grid.points] * dim)]
-    label = f"branch = {sol.branch}" if dim == 1 else f"nonlinearity = {args.nonlinearity}"
+    label = f"branch = {branch}" if dim == 1 else f"nonlinearity = {args.nonlinearity}"
     comments = [f"lambda = {args.lam}  {label}"]
     return 0, doc, (comments, ["x", "y"][:dim] + ["u"], [*coords, sol.values.ravel()])
 
@@ -292,7 +291,7 @@ def _cmd_stability_1d(args, sol, params):
         "solution": {
             "u_max": sol.u_max,
             "center_value": sol.center_value(),
-            "branch": sol.branch,
+            "branch": bratu1d.branch_label(sol),
         },
         "stability": {"stable": stable, "mu_min": mu_min, "eigenvalues": eigs},
         "newton": _trace_doc(sol.trace),
@@ -434,7 +433,7 @@ def run(argv=None) -> int:
         code, doc, table = _HANDLERS[args.command](args)
         _write(_render(doc, table, args.format), args.output)
         return code
-    except InvalidArgumentError as exc:
+    except (InvalidArgumentError, MemoryError) as exc:
         print(f"chebratu: invalid request: {exc}", file=sys.stderr)
         return 2
     except ChebratuError as exc:

@@ -413,15 +413,14 @@ class Solution:
 
     ``values`` holds the full grid, one axis per dimension, with exact
     zeros on the boundary; a 2D field is indexed ``values[iy, ix]``.
-    ``branch``, for the reaction term ``nonlinearity``, is "small", "big"
-    or "unknown" (always "unknown" above 1D and for terms other than exp).
+    ``nonlinearity`` is the reaction term it solves; which branch it lies
+    on is :func:`~chebratu.bratu1d.branch_label` of it.
     """
 
     grid: Grid1D
     values: np.ndarray
     lam: float
     nonlinearity: Nonlinearity
-    branch: str
     trace: NewtonTrace
 
     @property
@@ -511,10 +510,10 @@ def solve(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, ndim: int, guess
     even in every variable, and so is each Newton iterate from it, so the
     iteration then runs on the even half of each axis (the operator that
     :func:`_fold` makes) and mirrors its result back: the values are
-    exactly even.  Returns a :class:`Solution` labelled "unknown".  For
-    ``lam`` beyond the fold of the diagram the iteration fails (in 2D a
-    GMRES solve that stalls reports a singular Jacobian) and the Newton
-    error of :func:`newton_kantorovich` propagates with its trace.
+    exactly even.  Returns a :class:`Solution`.  For ``lam`` beyond the
+    fold of the diagram the iteration fails (in 2D a GMRES solve that
+    stalls reports a singular Jacobian) and the Newton error of
+    :func:`newton_kantorovich` propagates with its trace.
     """
     if not np.isfinite(lam) or lam < 0.0:
         raise InvalidArgumentError(f"lam must be finite and nonnegative, got {lam!r}")
@@ -533,7 +532,7 @@ def solve(lam: float, nonlinearity: Nonlinearity, grid: Grid1D, ndim: int, guess
     if even:
         u = _unfold(u, grid.n - 1)
     return Solution(grid=grid, values=np.pad(u, 1), lam=float(lam),
-                    nonlinearity=nonlinearity, branch="unknown", trace=trace)
+                    nonlinearity=nonlinearity, trace=trace)
 
 
 def convergence_order_estimate(trace: NewtonTrace) -> float | None:

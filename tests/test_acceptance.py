@@ -36,6 +36,7 @@ import numpy as np
 
 from chebratu import (
     branch_amplitudes,
+    branch_label,
     cheb_points,
     cheb_transform,
     convergence_order_estimate,
@@ -48,7 +49,6 @@ from chebratu import (
     make_nonlinearity,
     second_diff_matrix,
     solve,
-    solve_1d,
     stability_1d,
     symmetry_report,
 )
@@ -91,8 +91,8 @@ def _finish(num, name, t0, limit, checks):
 def _dual_1d():
     grid = cheb_points(32, 1.0)
     nl = make_nonlinearity("exp")
-    small = solve_1d(0.25, nl, grid, guess="zero")
-    big = solve_1d(0.25, nl, grid, guess="onepoint", amplitude=6.0)
+    small = solve(0.25, nl, grid, 1, guess="zero")
+    big = solve(0.25, nl, grid, 1, guess="onepoint", amplitude=6.0)
     return grid, small, big
 
 
@@ -158,8 +158,8 @@ def test_criterion_03_1d_dual_solutions():
     grid, small, big = _dual_1d()
     a_small, a_big = branch_amplitudes(0.25, 1.0)
     checks = [
-        ("zero guess lands on the small branch", small.branch == "small"),
-        ("one-point guess lands on the big branch", big.branch == "big"),
+        ("zero guess lands on the small branch", branch_label(small) == "small"),
+        ("one-point guess lands on the big branch", branch_label(big) == "big"),
         (
             "small center within 1e-8 of the amplitude oracle",
             abs(small.center_value() - a_small) <= 1e-8,

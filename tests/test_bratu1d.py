@@ -11,6 +11,7 @@ from chebratu import (
     Solution,
     bifurcation_curve,
     branch_amplitudes,
+    branch_label,
     cheb_points,
     convergence_order_estimate,
     critical_point,
@@ -19,7 +20,7 @@ from chebratu import (
     lambda_slope,
     make_nonlinearity,
     second_diff_matrix,
-    solve_1d,
+    solve,
     stability_1d,
 )
 from chebratu.errors import (
@@ -221,16 +222,16 @@ def grid32():
 
 @pytest.fixture(scope="module")
 def dual_solutions(grid32):
-    small = solve_1d(0.25, EXP, grid32, guess="zero")
-    big = solve_1d(0.25, EXP, grid32, guess="onepoint", amplitude=6.0)
+    small = solve(0.25, EXP, grid32, 1, guess="zero")
+    big = solve(0.25, EXP, grid32, 1, guess="onepoint", amplitude=6.0)
     return small, big
 
 
 def test_solve_dual_branches_match_oracle(grid32, dual_solutions):
     small, big = dual_solutions
     a_small, a_big = branch_amplitudes(0.25, 1.0)
-    assert small.branch == "small"
-    assert big.branch == "big"
+    assert branch_label(small) == "small"
+    assert branch_label(big) == "big"
     assert abs(small.center_value() - a_small) < 1e-8
     assert abs(big.center_value() - a_big) < 1e-8
     assert np.max(np.abs(small.values - exact_solution(a_small, 1.0, grid32.points))) < 1e-8
@@ -258,7 +259,7 @@ def test_update_test_ends_solves_whose_residual_floor_is_above_its_tolerance(n):
     # on fine 1D grids the rounding floor of ||F||_inf lies above 1e-10, so
     # only the update test (default 1e-12) can end the solve: without it
     # these run all 25 steps and fail
-    sol = solve_1d(0.05, EXP, cheb_points(n, 1.0), "onepoint")
+    sol = solve(0.05, EXP, cheb_points(n, 1.0), 1, "onepoint")
     assert sol.trace.converged
     assert sol.trace.residual_norms[-1] > 1e-10
     assert sol.trace.update_norms[-1] <= 1e-12
@@ -271,23 +272,23 @@ def test_small_branch_convergence_order(dual_solutions):
 
 
 def test_solve_lambda_zero_one_iteration(grid32):
-    sol = solve_1d(0.0, EXP, grid32, guess="zero")
+    sol = solve(0.0, EXP, grid32, 1, guess="zero")
     assert sol.trace.iterations == 1
     assert np.max(np.abs(sol.values)) == 0.0
-    assert sol.branch == "unknown"
+    assert branch_label(sol) == "unknown"
 
 
 def test_solve_above_fold_fails(grid32):
     with pytest.raises(NewtonError) as info:
-        solve_1d(1.0, EXP, grid32, guess="zero")
+        solve(1.0, EXP, grid32, 1, guess="zero")
     assert info.value.trace is not None
 
 
 def test_solve_custom_guess(grid32):
     a_small, a_big = branch_amplitudes(0.25, 1.0)
     guess = exact_solution(a_big, 1.0, grid32.points)
-    sol = solve_1d(0.25, EXP, grid32, guess=guess)
-    assert sol.branch == "big"
+    sol = solve(0.25, EXP, grid32, 1, guess=guess)
+    assert branch_label(sol) == "big"
     assert sol.trace.iterations <= 3
 
 
@@ -297,28 +298,28 @@ def test_eigenfunction_guess_lands_on_the_small_branch(n):
     problem, in 1D as in 2D."""
     grid = cheb_points(n, 1.0)
     for lam in (0.1, 0.5, 0.87):
-        sol = solve_1d(lam, EXP, grid, "eigenfunction")
+        sol = solve(lam, EXP, grid, 1, "eigenfunction")
         assert sol.trace.converged and sol.trace.iterations <= 6, lam
-        assert sol.branch == "small"
+        assert branch_label(sol) == "small"
         assert abs(sol.center_value() - branch_amplitudes(lam)[0]) <= 1e-8
 
 
 def test_solve_validation(grid32):
     with pytest.raises(InvalidArgumentError):
-        solve_1d(0.25, EXP, cheb_points(2, 1.0))
+        solve(0.25, EXP, cheb_points(2, 1.0), 1)
     for lam in (-1.0, -1e-300, np.nan, np.inf):
         with pytest.raises(InvalidArgumentError, match="lam"):
-            solve_1d(lam, EXP, grid32)
+            solve(lam, EXP, grid32, 1)
     with pytest.raises(InvalidArgumentError):
-        solve_1d(0.25, EXP, grid32, guess="mystery")
+        solve(0.25, EXP, grid32, 1, guess="mystery")
     with pytest.raises(InvalidArgumentError):
-        solve_1d(0.25, EXP, grid32, guess=np.zeros(5))
+        solve(0.25, EXP, grid32, 1, guess=np.zeros(5))
     for amplitude in (np.nan, np.inf):
         with pytest.raises(InvalidArgumentError):
-            solve_1d(0.25, EXP, grid32, guess="onepoint", amplitude=amplitude)
+            solve(0.25, EXP, grid32, 1, guess="onepoint", amplitude=amplitude)
     for amplitude in (np.nan, 0.0, -1.0):
         with pytest.raises(InvalidArgumentError):
-            solve_1d(0.25, EXP, grid32, guess="eigenfunction", amplitude=amplitude)
+            solve(0.25, EXP, grid32, 1, guess="eigenfunction", amplitude=amplitude)
 
 
 def test_branch_dichotomy_sweep():
@@ -335,15 +336,15 @@ def test_branch_dichotomy_sweep():
             a_small, a_big = branch_amplitudes(lam, 1.0)
             for guess, amplitude in (("zero", 0.0), ("onepoint", 6.0), ("onepoint", A_STAR)):
                 try:
-                    sol = solve_1d(lam, EXP, grid, guess=guess, amplitude=amplitude)
+                    sol = solve(lam, EXP, grid, 1, guess=guess, amplitude=amplitude)
                 except NewtonError:
                     assert guess == "onepoint" or lam in near_fold
                     continue
                 center = sol.center_value()
                 nearest = "small" if abs(center - a_small) <= abs(center - a_big) else "big"
-                assert sol.branch == nearest, (n, lam, guess, amplitude)
+                assert branch_label(sol) == nearest, (n, lam, guess, amplitude)
                 if lam in sweep and amplitude != A_STAR:
-                    assert sol.branch == ("small" if guess == "zero" else "big")
+                    assert branch_label(sol) == ("small" if guess == "zero" else "big")
                 labelled += 1
     assert labelled >= 200
 
@@ -359,7 +360,7 @@ def test_stability_verdicts(grid32, dual_solutions):
 def test_stability_spectrum_at_zero_solution():
     # u = 0, lam = 0: the spectrum of -d^2/dx^2 is (k pi / 2L)^2
     grid = cheb_points(16, 1.0)
-    sol = solve_1d(0.0, EXP, grid, guess="zero")
+    sol = solve(0.0, EXP, grid, 1, guess="zero")
     _, mu_min, spectrum = stability_1d(sol)
     expect = (np.arange(1, 4) * np.pi / 2.0) ** 2
     assert abs(mu_min - expect[0]) < 1e-8
@@ -372,8 +373,8 @@ def test_stability_sign_flip_at_fold():
 
     def mu_pair(lam):
         a_small, a_big = branch_amplitudes(lam, 1.0)
-        small = solve_1d(lam, EXP, grid, guess="zero")
-        big = solve_1d(lam, EXP, grid, guess=exact_solution(a_big, 1.0, grid.points))
+        small = solve(lam, EXP, grid, 1, guess="zero")
+        big = solve(lam, EXP, grid, 1, guess=exact_solution(a_big, 1.0, grid.points))
         return stability_1d(small)[1], stability_1d(big)[1]
 
     mu_s_mid, mu_b_mid = mu_pair(0.5 * LAM_STAR)
@@ -386,7 +387,7 @@ def test_stability_sign_flip_at_fold():
 
 def test_stability_requires_convergence(grid32):
     fake = Solution(grid=grid32, values=np.zeros(33), lam=0.25, nonlinearity=EXP,
-                    branch="unknown", trace=NewtonTrace())
+                    trace=NewtonTrace())
     with pytest.raises(InvalidArgumentError):
         stability_1d(fake)
 
@@ -404,7 +405,7 @@ BRACKETS = {"zero": (0.0, 1.0), "onepoint": (1.0, 20.0)}
 @pytest.fixture(scope="module")
 def non_exp_solutions():
     grid = cheb_points(64, 1.0)
-    return {(name, guess): solve_1d(0.3, make_nonlinearity(name, eps), grid, guess)
+    return {(name, guess): solve(0.3, make_nonlinearity(name, eps), grid, 1, guess)
             for name, eps in NON_EXP for guess in BRACKETS}
 
 
@@ -421,7 +422,7 @@ def test_shooting_oracle_matches_exp_closed_form(lam, half_width):
 def test_non_exp_centres_match_shooting_oracle(non_exp_solutions, name, eps, guess):
     sol = non_exp_solutions[name, guess]
     assert sol.nonlinearity is not EXP
-    assert sol.branch == "unknown"
+    assert branch_label(sol) == "unknown"
     expect = shooting_center_1d(0.3, name, eps, BRACKETS[guess])
     assert abs(sol.center_value() - expect) < 1e-12
     assert sol.center_value() > 1.0 if guess == "onepoint" else sol.center_value() < 1.0
@@ -442,7 +443,7 @@ def test_exp_label_needs_the_shared_exp_term(grid32):
     # the closed-form label covers exp only: a term that is numerically
     # exp but not the shared object is not labelled
     lookalike = Nonlinearity(EXP.value, EXP.derivative)
-    sol = solve_1d(0.25, lookalike, grid32, guess="zero")
+    sol = solve(0.25, lookalike, grid32, 1, guess="zero")
     assert sol.nonlinearity is lookalike
-    assert sol.branch == "unknown"
+    assert branch_label(sol) == "unknown"
     assert make_nonlinearity("exp") is EXP

@@ -497,7 +497,8 @@ def test_bifurcation_1d_lambda_underflows_without_warning(tmp_path):
     assert all(0.0 <= lam < 1e-300 for lam in lams)
 
 
-@pytest.mark.parametrize("argv", [
+# one request per kind of size flag: a solve's grid order, eig-2d's and the curves' counts
+_SIZE_REQUESTS = pytest.mark.parametrize("argv", [
     ["solve-1d", "--lambda", "0.5", "--n"],
     ["solve-2d", "--lambda", "0.5", "--n"],
     ["coeffs", "1d", "--lambda", "0.5", "--n"],
@@ -505,7 +506,20 @@ def test_bifurcation_1d_lambda_underflows_without_warning(tmp_path):
     ["bifurcation-1d", "--samples"],
     ["bifurcation-2d-approx", "--samples"],
 ], ids=["solve-1d", "solve-2d", "coeffs", "eig-2d", "bifurcation-1d", "bifurcation-2d-approx"])
+
+
+@_SIZE_REQUESTS
 def test_size_too_large_to_index_exits_2(argv, capsys):
     # 10**20 is past numpy's index range, so it fails before any allocation
     assert run([*argv, str(10**20)]) == 2
     assert f"argument {argv[-1]}: {10**20} is too large" in capsys.readouterr().err
+
+
+@_SIZE_REQUESTS
+def test_size_too_large_to_allocate_exits_2(argv, capsys):
+    # numpy can index 10**18 entries but cannot allocate them (8 EB): one
+    # line on stderr, no traceback
+    assert run([*argv, str(10**18)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chebratu: invalid request: Unable to allocate")
+    assert err.count("\n") == 1

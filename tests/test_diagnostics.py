@@ -10,7 +10,6 @@ from chebratu import (
     laplacian,
     make_nonlinearity,
     solve,
-    solve_1d,
     symmetry_report,
 )
 from chebratu.diagnostics import _fit_and_plateau
@@ -35,8 +34,8 @@ def grid16():
 def solutions_1d():
     grid = cheb_points(32, 1.0)
     nl = make_nonlinearity("exp")
-    small = solve_1d(0.25, nl, grid, guess="zero")
-    big = solve_1d(0.25, nl, grid, guess="onepoint", amplitude=6.0)
+    small = solve(0.25, nl, grid, 1, guess="zero")
+    big = solve(0.25, nl, grid, 1, guess="onepoint", amplitude=6.0)
     return small, big
 
 
@@ -118,7 +117,7 @@ def test_fit_rate_stops_at_rounding_noise():
     nl = make_nonlinearity("exp")
     rng = np.random.default_rng(11)
     for lam, n in ((0.1, 16), (0.1, 32), (0.25, 48)):
-        sol = solve_1d(lam, nl, cheb_points(n, 1.0))
+        sol = solve(lam, nl, cheb_points(n, 1.0), 1)
         rate = decay_report(sol.grid, sol.values).fit_rate
         for _ in range(10):
             values = sol.values * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, n + 1))

@@ -129,6 +129,16 @@ def test_divergence_mid_iteration():
     assert info.value.trace.residual_norms[-1] == np.inf
 
 
+def test_divergence_of_the_iterate_alone():
+    # a step to inf where the residual and the Jacobian stay finite (tanh
+    # saturates): only the iterate check sees it; without it the run would
+    # use up max_iter and end in a NonConvergenceError
+    with pytest.raises(DivergenceError, match="iterate became non-finite") as info:
+        newton_kantorovich(lambda u: np.tanh(u) - 0.5, lambda u: np.diag(1.0 / np.cosh(u) ** 2),
+                           np.array([0.0]), solve=lambda J, b: (np.full(1, np.inf), 1))
+    assert info.value.trace.update_norms == [np.inf]
+
+
 def test_driver_silences_overflow_in_residual_and_jacobian():
     # the logistic residual is finite at u = -800 although exp(800) overflows
     # in it; its derivative is inf / inf there: a divergence with its trace,
@@ -153,6 +163,10 @@ def test_driver_silences_overflow_in_residual_and_jacobian():
 def test_iterate_residual_shape_checks():
     with pytest.raises(InvalidArgumentError):
         newton_kantorovich(lambda u: np.ones(3), lambda u: np.eye(2), np.zeros(2), solve=_dense)
+    # the driver's own check, with a linear solve that checks no shapes
+    with pytest.raises(InvalidArgumentError, match="residual shape"):
+        newton_kantorovich(lambda u: np.ones(3), lambda u: np.eye(2), np.zeros(2),
+                           solve=lambda J, b: (np.zeros(2), 1))
     with pytest.raises(InvalidArgumentError):
         newton_kantorovich(lambda u: u, lambda u: np.eye(2), np.zeros((2, 2)), solve=_dense)
 
@@ -173,6 +187,9 @@ def test_order_estimate_examples():
     t = NewtonTrace(update_norms=[1e-1, 1e-3, 1e-9], residual_norms=[0, 0, 0],
                     converged=True)
     assert abs(convergence_order_estimate(t) - 3.0) < 1e-12
+    # 1e-13 lies above the rounding floor 1e-14, so it is the last of the triple
+    t = NewtonTrace(update_norms=[1e-1, 1e-3, 1e-7, 1e-13])
+    assert abs(convergence_order_estimate(t) - 1.5) < 1e-12
 
 
 def test_order_estimate_insufficient_data():
@@ -311,7 +328,7 @@ def test_solution_views(n, ndim):
     grid = cheb_points(n, 2.0)
     values = 3.0 * _tensor(1.0 - (grid.points / 2.0) ** 2, ndim)
     sol = Solution(grid=grid, values=values, lam=0.5, nonlinearity=make_nonlinearity("exp"),
-                   branch="unknown", trace=NewtonTrace())
+                   trace=NewtonTrace())
     assert np.array_equal(sol.interior, values[(slice(1, -1),) * ndim])
     assert sol.u_max == values.max()
     if n % 2 == 0:

@@ -117,6 +117,20 @@ def test_gmres_rank_deficient_raises():
         assert len(calls) <= _GMRES_MAXITER + 1
 
 
+def test_gmres_breakdown_on_the_zero_operator():
+    # the first product is zero, so the first rotation has nothing to
+    # normalize by: a singular matrix, reported after that one product
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return 0.0 * v
+
+    with pytest.raises(SingularMatrixError, match="breakdown"):
+        gmres(apply, np.ones(5), lambda v: v)
+    assert len(calls) == 1
+
+
 def test_gmres_runs_one_cycle():
     # a regular, well-conditioned system that needs about 50 steps: the one
     # cycle ends after _GMRES_MAXITER products and the recomputed residual,

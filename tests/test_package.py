@@ -1,6 +1,7 @@
-"""The package's public names: each declared once, in its layer module."""
+"""The package's public names: each declared once, in its layer module;
+and the README's Python quick start, which calls them, runs."""
 
-import inspect
+from pathlib import Path
 
 import chebratu
 from chebratu import bratu1d, chebyshev, diagnostics, newton, numerics, pde2d
@@ -19,10 +20,8 @@ def test_package_exports_the_layer_lists_and_errors():
             assert getattr(module, name).__module__ == module.__name__
 
 
-def test_1d_and_2d_solves_take_the_same_parameters():
-    # both dimensions run newton.solve; solve_1d is its ndim = 1 case with the
-    # branch label on top, so it takes the same parameters but ndim
-    names = list(inspect.signature(newton.solve).parameters)
-    assert names == ["lam", "nonlinearity", "grid", "ndim", "guess", "amplitude", "config"]
-    assert list(inspect.signature(bratu1d.solve_1d).parameters) == [
-        name for name in names if name != "ndim"]
+def test_readme_python_block_runs():
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})

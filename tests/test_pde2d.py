@@ -8,6 +8,7 @@ import pytest
 import chebratu.newton
 from chebratu import (
     barycentric_resample,
+    branch_label,
     cheb_points,
     decay_report,
     initial_guess,
@@ -345,7 +346,7 @@ def test_small_solution_value_and_effort(small16):
     assert small16.values.shape == (17, 17)
     assert np.array_equal(small16.values[1:-1, 1:-1], small16.interior)
     assert not small16.values[[0, -1], :].any() and not small16.values[:, [0, -1]].any()
-    assert small16.branch == "unknown" and small16.lam == 0.5
+    assert branch_label(small16) == "unknown" and small16.lam == 0.5
 
 
 def test_small_solution_grid_independent(exp_nl):
